@@ -12,15 +12,22 @@ isolation:
     explain          one evidence item, printed
     selftest         embedded correctness checks, no corpus needed
 
+Each stage that reads ``--corpus`` attaches the axioms an earlier
+``import-external`` left in the outdir, except ``import-external`` itself,
+which starts from the bare corpus.  ``fti --auc-csv`` and ``selftest`` read
+no corpus.
+
 Exit codes: 0 success, 1 usage errors, 2 data errors.  Tuning values come
-from flags first, then a ``key = value`` config file, then defaults.
+from flags first, then a ``key = value`` config file, then defaults; the
+tuning keys are the fields of MiningParams, TrainConfig and SearchConfig
+(less ``early_stop``) plus the index weights and the import's sample size.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, make_dataclass, replace
 from pathlib import Path
 
 from .corpus import Corpus, load_corpus
@@ -28,7 +35,6 @@ from .contexts import SearchConfig, core_context_search
 from .errors import DataError, UsageError
 from .evidence import (
     CoreContext,
-    EvidenceSpace,
     FactorKind,
     GeneralFactor,
     ParticularNarrator,
@@ -36,8 +42,6 @@ from .evidence import (
 )
 from .harness import (
     TrainConfig,
-    TransferRecord,
-    check_weights,
     fti_from_records,
     fti_matrix,
     records_from_csv,
@@ -47,59 +51,33 @@ from .kb import FileKbAdapter, HttpKbAdapter, VocabularyMapping, import_external
 from .mining import MiningParams, mine_roots
 from .ontology import axioms_to_text, parse_abox
 from .reasoner import Entailment
-from .report import build_report, render_result, sort_results
+from .report import build_report, rank_key, render_result, sort_results
+
+# early_stop trades speed for an exhaustive scan; it stays a library-only switch
+PipelineConfig = make_dataclass(
+    "PipelineConfig",
+    [
+        (f.name, f.type, f.default)
+        for sub in (MiningParams, TrainConfig, SearchConfig)
+        for f in fields(sub)
+        if f.name != "early_stop"
+    ]
+    + [
+        ("omega1", float, 1.0),
+        ("omega2", float, 1.0),
+        ("consistency_sample", "int | None", None),
+    ],
+    frozen=True,
+)
+
+_CFG_DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
+_FLOAT_FIELDS = {k for k, v in _CFG_DEFAULTS.items() if isinstance(v, float)}
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    sigma: float = 0.99
-    kappa: int = 2
-    tau: float = 0.49
-    kappa_cap: int = 2
-    epsilon: float = 0.1
-    alpha: float = 0.05
-    omega1: float = 1.0
-    omega2: float = 1.0
-    max_dim: int = 4
-    n_min: int = 3
-    train_frac: float = 0.8
-    epochs: int = 200
-    ensemble: int = 10
-    hidden: int = 16
-    lr: float = 0.05
-    batch_size: int = 16
-    seed: int = 0
-    consistency_sample: int | None = None
-
-    def mining_params(self) -> MiningParams:
-        return MiningParams(
-            sigma=self.sigma, kappa=self.kappa, tau=self.tau, kappa_cap=self.kappa_cap
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            hidden=self.hidden,
-            epochs=self.epochs,
-            lr=self.lr,
-            batch_size=self.batch_size,
-            ensemble=self.ensemble,
-            train_frac=self.train_frac,
-            seed=self.seed,
-        )
-
-    def search_config(self) -> SearchConfig:
-        return SearchConfig(
-            max_dim=self.max_dim,
-            epsilon=self.epsilon,
-            alpha=self.alpha,
-            n_min=self.n_min,
-        )
-
-
-_CFG_FIELDS = {f.name: f.type for f in fields(PipelineConfig)}
-_FLOAT_FIELDS = {
-    "sigma", "tau", "epsilon", "alpha", "omega1", "omega2", "train_frac", "lr",
-}
+def _sub_config(cfg: PipelineConfig, cls):
+    """``cls`` (MiningParams, TrainConfig or SearchConfig) holding cfg's values."""
+    shared = [f.name for f in fields(cls) if f.name in _CFG_DEFAULTS]
+    return cls(**{name: getattr(cfg, name) for name in shared})
 
 
 def _coerce(key: str, value: str):
@@ -124,7 +102,7 @@ def load_config_file(path: str | Path) -> dict:
             raise DataError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _CFG_FIELDS:
+        if key not in _CFG_DEFAULTS:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in out:
             raise DataError(f"{path}:{lineno}: duplicate config key {key!r}")
@@ -139,7 +117,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         cfg = replace(cfg, **load_config_file(args.config))
     flags = {
         name: getattr(args, name)
-        for name in _CFG_FIELDS
+        for name in _CFG_DEFAULTS
         if getattr(args, name, None) is not None
     }
     return replace(cfg, **flags)
@@ -157,32 +135,32 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _load_corpus(args) -> Corpus:
-    if not getattr(args, "corpus", None):
+def _write_lines(path: Path, lines: list[str]) -> None:
+    _write(path, "\n".join(lines) + "\n")
+
+
+def _load_corpus(args, outdir: Path | None) -> Corpus:
+    """The corpus, with the axioms an earlier import left in ``outdir``
+    attached to each domain; ``outdir=None`` gives the bare corpus."""
+    if not args.corpus:
         raise UsageError("--corpus is required for this command")
-    return load_corpus(args.corpus)
+    corpus = load_corpus(args.corpus)
+    if outdir is not None:
+        for d in corpus.domains:
+            f = outdir / "external" / f"{d.id}.axioms"
+            if f.exists():
+                d.set_external_axioms(parse_abox(f.read_text()))
+    return corpus
 
 
-def _apply_external(corpus: Corpus, outdir: Path) -> None:
-    """Attach previously imported axioms (if any) to each domain."""
-    for d in corpus.domains:
-        f = outdir / "external" / f"{d.id}.axioms"
-        if f.exists():
-            ont = parse_abox(f.read_text())
-            d.set_external_axioms(ont)
-
-
-def _load_fti(args, cfg: PipelineConfig, outdir: Path) -> tuple[list[TransferRecord], dict]:
-    check_weights(cfg.omega1, cfg.omega2)
-    csv_path = getattr(args, "auc_csv", None) or (outdir / "fti" / "auc.csv")
-    csv_path = Path(csv_path)
+def _load_fti(args, cfg: PipelineConfig, outdir: Path) -> dict:
+    csv_path = Path(args.auc_csv or outdir / "fti" / "auc.csv")
     if not csv_path.exists():
         raise DataError(
             f"no transfer results at {csv_path}; run the fti stage first "
             f"or pass --auc-csv"
         )
-    records = records_from_csv(csv_path)
-    return records, fti_from_records(records, cfg.omega1, cfg.omega2)
+    return fti_from_records(records_from_csv(csv_path), cfg.omega1, cfg.omega2)
 
 
 def parse_evidence(text: str):
@@ -203,28 +181,22 @@ def parse_evidence(text: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed args, the resolved config and the outdir
 
-def cmd_materialize(args, cfg: PipelineConfig) -> int:
-    corpus = _load_corpus(args)
-    outdir = Path(args.outdir)
-    _apply_external(corpus, outdir)
-    for d in corpus.domains:
+def cmd_materialize(args, cfg: PipelineConfig, outdir: Path) -> int:
+    for d in _load_corpus(args, outdir).domains:
         closures = d.lso_closures()
         bad = sum(1 for c in closures if c.inconsistent)
         lines = [f"# domain {d.id}: {len(closures)} LSOs, {bad} inconsistent"]
         lines += sorted(str(g) for g in d.entailment_closure())
-        _write(outdir / "closures" / f"{d.id}.atoms", "\n".join(lines) + "\n")
+        _write_lines(outdir / "closures" / f"{d.id}.atoms", lines)
         print(f"{d.id}: {len(lines) - 1} entailments, {bad} inconsistent LSOs")
     return 0
 
 
-def cmd_mine_roots(args, cfg: PipelineConfig) -> int:
-    corpus = _load_corpus(args)
-    outdir = Path(args.outdir)
-    _apply_external(corpus, outdir)
-    params = cfg.mining_params()
-    for d in corpus.domains:
+def cmd_mine_roots(args, cfg: PipelineConfig, outdir: Path) -> int:
+    params = _sub_config(cfg, MiningParams)
+    for d in _load_corpus(args, outdir).domains:
         rs = mine_roots(d, params)
         lines = [
             f"# domain {d.id} sigma={params.sigma} kappa={params.kappa} tau={params.tau}"
@@ -239,7 +211,7 @@ def cmd_mine_roots(args, cfg: PipelineConfig) -> int:
             lines.append(f"root-entailment\t{g}")
         for x in rs.root_individuals:
             lines.append(f"root-individual\t{x}")
-        _write(outdir / "roots" / f"{d.id}.roots", "\n".join(lines) + "\n")
+        _write_lines(outdir / "roots" / f"{d.id}.roots", lines)
         _write(
             outdir / "roots" / f"{d.id}.inds",
             "".join(f"{x}\n" for x in rs.root_individuals),
@@ -274,12 +246,13 @@ def _make_mapping(args, corpus: Corpus) -> VocabularyMapping:
     return VocabularyMapping.load(map_path)
 
 
-def cmd_import_external(args, cfg: PipelineConfig) -> int:
-    corpus = _load_corpus(args)
-    outdir = Path(args.outdir)
+def cmd_import_external(args, cfg: PipelineConfig, outdir: Path) -> int:
+    # The bare corpus: this import replaces external/*.axioms, so the axioms
+    # of an earlier import must not reach its roots or its consistency gate.
+    corpus = _load_corpus(args, None)
     adapter = _make_adapter(args, corpus)
     mapping = _make_mapping(args, corpus)
-    params = cfg.mining_params()
+    params = _sub_config(cfg, MiningParams)
     for d in corpus.domains:
         inds_file = outdir / "roots" / f"{d.id}.inds"
         if inds_file.exists():
@@ -301,58 +274,36 @@ def cmd_import_external(args, cfg: PipelineConfig) -> int:
         )
         audit_lines = ["# domain\tindividual\tentity\tstatus\twitness"]
         audit_lines += [a.to_line() for a in audit]
-        _write(outdir / "external" / f"{d.id}.audit", "\n".join(audit_lines) + "\n")
+        _write_lines(outdir / "external" / f"{d.id}.audit", audit_lines)
         n_acc = sum(1 for a in audit if a.status == "accepted")
         print(f"{d.id}: {len(axioms)} axioms imported ({n_acc} entities accepted)")
     return 0
 
 
-def cmd_fti(args, cfg: PipelineConfig) -> int:
-    corpus = _load_corpus(args)
-    outdir = Path(args.outdir)
-    check_weights(cfg.omega1, cfg.omega2)
-    if getattr(args, "auc_csv", None):
+def cmd_fti(args, cfg: PipelineConfig, outdir: Path) -> int:
+    if args.auc_csv:
         records = records_from_csv(args.auc_csv)
         fti = fti_from_records(records, cfg.omega1, cfg.omega2)
     else:
-        _apply_external(corpus, outdir)
         records, fti = fti_matrix(
-            corpus.domains, cfg.train_config(), cfg.omega1, cfg.omega2
+            _load_corpus(args, outdir).domains,
+            _sub_config(cfg, TrainConfig),
+            cfg.omega1,
+            cfg.omega2,
         )
-    records_to_csv(records, _ensure_parent(outdir / "fti" / "auc.csv"))
     rows = ["source\ttarget\tauc_base\tauc_hard\tauc_soft\tfsi\tfgi\tfti"]
     for r in records:
-        rows.append(
-            "\t".join(
-                [r.source, r.target]
-                + [
-                    _fmt(v)
-                    for v in (
-                        r.auc_base,
-                        r.auc_hard,
-                        r.auc_soft,
-                        r.fsi,
-                        r.fgi,
-                        fti[(r.source, r.target)],
-                    )
-                ]
-            )
-        )
-    _write(outdir / "fti" / "matrix.tsv", "\n".join(rows) + "\n")
+        values = (r.auc_base, r.auc_hard, r.auc_soft, r.fsi, r.fgi, fti[(r.source, r.target)])
+        rows.append("\t".join([r.source, r.target] + [_fmt(v) for v in values]))
+    _write_lines(outdir / "fti" / "matrix.tsv", rows)  # also creates fti/
+    records_to_csv(records, outdir / "fti" / "auc.csv")
     print(f"{len(records)} transfer records over {len({r.source for r in records})} domains")
     return 0
 
 
-def _ensure_parent(path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def cmd_explain(args, cfg: PipelineConfig) -> int:
-    corpus = _load_corpus(args)
-    outdir = Path(args.outdir)
-    _apply_external(corpus, outdir)
-    _, fti = _load_fti(args, cfg, outdir)
+def cmd_explain(args, cfg: PipelineConfig, outdir: Path) -> int:
+    corpus = _load_corpus(args, outdir)
+    fti = _load_fti(args, cfg, outdir)
     evidence = parse_evidence(args.evidence)
     res = correlative_reason(
         corpus.domains, evidence, fti,
@@ -366,72 +317,34 @@ def cmd_explain(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _result_row(res, cover: int | None = None) -> str:
-    cells = [str(res.evidence)]
-    if cover is not None:
-        cells.append(str(cover))
-    cells += [
-        _fmt(res.gamma),
-        _fmt(res.rho),
-        str(res.n),
-        "yes" if res.valid else "no",
-        res.reason or "-",
-    ]
-    return "\t".join(cells)
+def _result_row(res, cover: int | None) -> str:
+    cells = [str(res.evidence)] + ([] if cover is None else [str(cover)])
+    cells += [_fmt(res.gamma), _fmt(res.rho), str(res.n), "yes" if res.valid else "no"]
+    return "\t".join(cells + [res.reason or "-"])
 
 
-def cmd_report(args, cfg: PipelineConfig) -> int:
-    corpus = _load_corpus(args)
-    outdir = Path(args.outdir)
-    _apply_external(corpus, outdir)
-    _, fti = _load_fti(args, cfg, outdir)
-    domains = corpus.domains
-
-    space = EvidenceSpace.build(
-        domains, fti, epsilon=cfg.epsilon, alpha=cfg.alpha, n_min=cfg.n_min
-    )
+def cmd_report(args, cfg: PipelineConfig, outdir: Path) -> int:
+    domains = _load_corpus(args, outdir).domains
+    fti = _load_fti(args, cfg, outdir)
+    # the scan's evidence space and universe serve the other two tables too
+    scan = core_context_search(domains, fti, _sub_config(cfg, SearchConfig))
+    space = scan.space
     general = [space.score(GeneralFactor(k)) for k in FactorKind]
-
-    targets = {d.target for d in domains}
-    universe = sorted(frozenset().union(*space.closures) - targets)
-    narrators = [space.score(ParticularNarrator(g)) for g in universe]
-
-    scan = core_context_search(domains, fti, cfg.search_config())
+    narrators = [space.score(ParticularNarrator(g)) for g in scan.clusters.universe]
     # singleton representatives of singleton clusters cover no real context
     contexts = [(res, cover) for _, res, cover in scan.rep_results() if cover > 0]
 
-    _write(
-        outdir / "evidence" / "general.tsv",
-        "\n".join(
-            ["evidence\tgamma\trho\tn\tvalid\treason"]
-            + [_result_row(r) for r in sort_results(general)]
+    for name, ranked in (
+        ("general", [(r, None) for r in sort_results(general)]),
+        ("narrators", [(r, None) for r in sort_results(narrators)]),
+        ("contexts", sorted(contexts, key=lambda rc: rank_key(rc[0]))),
+    ):
+        cover = "\tcover" if name == "contexts" else ""
+        _write_lines(
+            outdir / "evidence" / f"{name}.tsv",
+            [f"evidence{cover}\tgamma\trho\tn\tvalid\treason"]
+            + [_result_row(r, c) for r, c in ranked],
         )
-        + "\n",
-    )
-    _write(
-        outdir / "evidence" / "narrators.tsv",
-        "\n".join(
-            ["evidence\tgamma\trho\tn\tvalid\treason"]
-            + [_result_row(r) for r in sort_results(narrators)]
-        )
-        + "\n",
-    )
-    ctx_sorted = sorted(
-        contexts,
-        key=lambda rc: (
-            not rc[0].valid,
-            -abs(rc[0].gamma) if rc[0].gamma is not None else 1.0,
-            str(rc[0].evidence),
-        ),
-    )
-    _write(
-        outdir / "evidence" / "contexts.tsv",
-        "\n".join(
-            ["evidence\tcover\tgamma\trho\tn\tvalid\treason"]
-            + [_result_row(r, c) for r, c in ctx_sorted]
-        )
-        + "\n",
-    )
 
     rep = build_report(
         [d.id for d in domains],
@@ -452,7 +365,7 @@ def cmd_report(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def cmd_selftest(args, cfg: PipelineConfig) -> int:
+def cmd_selftest(args, cfg: PipelineConfig, outdir: Path) -> int:
     from . import selfcheck
 
     failures = selfcheck.run(print)
@@ -472,13 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--corpus", help="corpus directory")
     common.add_argument("--outdir", default="out", help="artifact directory (default: out)")
     common.add_argument("--config", help="key = value config file")
-    for name in sorted(_CFG_FIELDS):
-        flag = "--" + name.replace("_", "-")
+    for name, default in sorted(_CFG_DEFAULTS.items()):
         common.add_argument(
-            flag,
+            "--" + name.replace("_", "-"),
             type=float if name in _FLOAT_FIELDS else int,
             default=None,
-            help=f"override {name} (default {getattr(PipelineConfig, name, None)})",
+            help=f"override {name} (default {default})",
         )
 
     p = _Parser(
@@ -524,7 +436,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
-        return args.func(args, cfg)
+        return args.func(args, cfg, Path(args.outdir))
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -373,17 +373,27 @@ def records_from_csv(path) -> list[TransferRecord]:
                 f"expected header {','.join(_CSV_FIELDS)} in {path}"
             )
         records = []
+        first_line: dict[tuple[str, str], int] = {}
         for i, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 5:
                 raise DataError(f"{path}:{i}: expected 5 fields, got {len(row)}")
             try:
-                records.append(
-                    TransferRecord(
-                        row[0], row[1], float(row[2]), float(row[3]), float(row[4])
-                    )
-                )
+                aucs = [float(v) for v in row[2:]]
             except ValueError as exc:
                 raise DataError(f"{path}:{i}: {exc}") from None
+            # written this way round so that NaN fails the test too
+            if not all(0.0 <= v <= 1.0 for v in aucs):
+                raise DataError(f"{path}:{i}: AUCs must lie in [0, 1], got {row[2:]}")
+            pair = (row[0], row[1])
+            if pair[0] == pair[1]:
+                raise DataError(f"{path}:{i}: self-pair {pair[0]},{pair[1]}")
+            if pair in first_line:
+                raise DataError(
+                    f"{path}:{i}: duplicate pair {pair[0]},{pair[1]} "
+                    f"(first on line {first_line[pair]})"
+                )
+            first_line[pair] = i
+            records.append(TransferRecord(*pair, *aucs))
     return records

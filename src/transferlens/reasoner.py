@@ -572,22 +572,27 @@ def materialize(tbox, abox) -> EntailmentClosure:
         mention(ind)
         push_class("}" + ind, ind)
 
-    def assert_concept(c: ConceptExpr, x: str) -> None:
-        if isinstance(c, Top):
-            return
-        if isinstance(c, Bottom):
-            fail(f"Bottom asserted for {x}")
-        elif isinstance(c, Atomic):
-            push_class(c.name, x)
-        elif isinstance(c, Nominal):
-            merge(x, c.individual)
-        elif isinstance(c, Existential):
-            # _prepare guarantees the filler is a nominal here
-            mention(c.filler.individual)
-            push_role(c.role, x, c.filler.individual)
-        else:
-            for p in c.parts:
-                assert_concept(p, x)
+    def assert_concept(concept: ConceptExpr, x: str) -> None:
+        # An explicit stack, not recursion: a self-recursive closure is a
+        # reference cycle that keeps this call's state alive until the cycle
+        # collector runs.  Parts are visited in the same depth-first order.
+        todo = [concept]
+        while todo:
+            c = todo.pop()
+            if isinstance(c, Top):
+                continue
+            if isinstance(c, Bottom):
+                fail(f"Bottom asserted for {x}")
+            elif isinstance(c, Atomic):
+                push_class(c.name, x)
+            elif isinstance(c, Nominal):
+                merge(x, c.individual)
+            elif isinstance(c, Existential):
+                # _prepare guarantees the filler is a nominal here
+                mention(c.filler.individual)
+                push_role(c.role, x, c.filler.individual)
+            else:
+                todo.extend(reversed(c.parts))
 
     for ax in axioms:
         if isinstance(ax, ClassAssertion):

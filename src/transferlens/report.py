@@ -69,14 +69,15 @@ def render_result(res: EvidenceResult, cover: int | None = None) -> str:
     raise DataError(f"cannot render evidence of type {type(ev).__name__}")
 
 
-def _sort_key(res: EvidenceResult):
+def rank_key(res: EvidenceResult):
+    """Valid first, then by |γ| descending, ties by evidence text."""
     mag = -abs(res.gamma) if res.gamma is not None else 1.0
-    return (mag, str(res.evidence))
+    return (not res.valid, mag, str(res.evidence))
 
 
 def sort_results(results) -> list[EvidenceResult]:
-    """Valid first, then by |γ| descending, ties by evidence text."""
-    return sorted(results, key=lambda r: (not r.valid,) + _sort_key(r))
+    """Results in ``rank_key`` order."""
+    return sorted(results, key=rank_key)
 
 
 def _to_json(res: EvidenceResult, cover: int | None = None) -> dict:
@@ -158,9 +159,7 @@ def build_report(
         lines.append("(no valid narrator evidence)")
     lines.append("")
 
-    ctx_sorted = sorted(
-        contexts, key=lambda rc: (not rc[0].valid,) + _sort_key(rc[0])
-    )
+    ctx_sorted = sorted(contexts, key=lambda rc: rank_key(rc[0]))
     valid_ctx = [(r, c) for r, c in ctx_sorted if r.valid]
     listed_ctx = valid_ctx if max_listed is None else valid_ctx[:max_listed]
     total_cover = sum(c for _, c in valid_ctx)

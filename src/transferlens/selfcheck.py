@@ -21,6 +21,12 @@ from .ontology import axioms_to_text, normalize_tbox, parse_abox, parse_ontology
 from .reasoner import Entailment, materialize
 
 
+def _check(ok: bool, message: str) -> None:
+    # an explicit raise, so that the checks still run under ``python -O``
+    if not ok:
+        raise AssertionError(message)
+
+
 def _check_parser_roundtrip():
     doc = """
 SubClassOf(And(Dep Some(hasWea HeavySnow)) DelayedDep)
@@ -33,7 +39,7 @@ DiffInd(a c)
 """
     ont = parse_ontology(doc)
     again = parse_ontology(axioms_to_text(ont.tbox | ont.abox))
-    assert again.tbox == ont.tbox and again.abox == ont.abox, "round-trip changed axioms"
+    _check(again.tbox == ont.tbox and again.abox == ont.abox, "round-trip changed axioms")
 
 
 def _check_closure_fixture():
@@ -55,25 +61,28 @@ RoleAssert(hasWea d w)
     want = {
         "Dep(d)", "HeavySnow(w)", "Snow(w)", "DelayedDep(d)", "hasWea(d,w)",
     }
-    assert got == want, f"closure mismatch: {sorted(got ^ want)}"
-    assert not closure.inconsistent
+    _check(got == want, f"closure mismatch: {sorted(got ^ want)}")
+    _check(not closure.inconsistent, "consistent fixture closed inconsistent")
 
 
 def _check_merge_inconsistency():
     tbox = parse_tbox("SubClassOf(A A)")
     abox = parse_abox("ClassAssert(A x)\nSameInd(x y)\nDiffInd(x y)")
     closure = materialize(tbox, abox)
-    assert closure.inconsistent, "distinct individuals merged without contradiction"
-    assert closure.entails(Entailment.parse("B(z)")), "inconsistent closure must entail everything"
+    _check(closure.inconsistent, "distinct individuals merged without contradiction")
+    _check(
+        closure.entails(Entailment.parse("B(z)")),
+        "inconsistent closure must entail everything",
+    )
 
 
 def _check_change_rates():
     cr = change_rates_from_counts(
         n_source=10, n_target=16, n_new=10, n_obsolete=4, n_invariant=6
     )
-    assert abs(cr.new - 10 / 16) < 1e-15, cr.new
-    assert abs(cr.obsolete - 4 / 10) < 1e-15, cr.obsolete
-    assert abs(cr.invariant - 6 / 26) < 1e-15, cr.invariant
+    _check(abs(cr.new - 10 / 16) < 1e-15, f"new rate {cr.new}")
+    _check(abs(cr.obsolete - 4 / 10) < 1e-15, f"obsolete rate {cr.obsolete}")
+    _check(abs(cr.invariant - 6 / 26) < 1e-15, f"invariant rate {cr.invariant}")
 
 
 def _pearson_fraction(xs, ys):
@@ -94,10 +103,10 @@ def _check_pearson():
     sxy, sxx, syy = _pearson_fraction(xs, ys)
     want = float(sxy) / float(sxx * syy) ** 0.5
     got = pearson(np.array(xs), np.array(ys))
-    assert abs(got - want) < 1e-12, (got, want)
+    _check(abs(got - want) < 1e-12, f"pearson {got} != {want}")
     rho = p_value(got, len(xs))
-    assert 0.0 < rho < 0.1, rho
-    assert p_value(1.0, 5) == 0.0
+    _check(0.0 < rho < 0.1, f"p-value {rho}")
+    _check(p_value(1.0, 5) == 0.0, "perfect correlation has nonzero p-value")
 
 
 def _toy_domain():
@@ -125,14 +134,14 @@ def _check_mining_brute():
     universe = sorted(set().union(*atom_sets) - {domain.target})
     t_in = [domain.target in s for s in atom_sets]
     freq = {g for g in universe if sum(g in s for s in atom_sets) / n >= params.sigma}
-    assert freq == set(rs.frequent), "frequent sets disagree with brute force"
+    _check(freq == set(rs.frequent), "frequent sets disagree with brute force")
     eff = {}
     for combo in itertools.combinations(sorted(freq, key=str), params.kappa):
         r_e = sum(all(g in s for g in combo) and t for s, t in zip(atom_sets, t_in)) / n
         r_i = sum(all(g not in s for g in combo) and not t for s, t in zip(atom_sets, t_in)) / n
         if r_e + r_i >= params.tau:
             eff[frozenset(combo)] = (r_e, r_i)
-    assert eff == rs.effective, "effective subsets disagree with brute force"
+    _check(eff == rs.effective, "effective subsets disagree with brute force")
 
 
 def _check_search_cover():
@@ -173,17 +182,20 @@ def _check_search_cover():
         domains, fti, SearchConfig(max_dim=3, early_stop=False)
     )
     expanded = list(scan.iter_contexts())
-    assert len(expanded) == scan.stats.covered, "cover count disagrees with expansion"
+    _check(len(expanded) == scan.stats.covered, "cover count disagrees with expansion")
     u = len(scan.clusters.universe)
     want = sum(
         1
         for k in (2, 3)
         for _ in itertools.combinations(range(u), k)
     )
-    assert len(expanded) == want, (len(expanded), want)
+    _check(len(expanded) == want, f"{len(expanded)} contexts expanded, {want} expected")
     one = expanded[0]
     again = scan.lookup(one.evidence.entailments)
-    assert (again.gamma, again.rho, again.n) == (one.gamma, one.rho, one.n)
+    _check(
+        (again.gamma, again.rho, again.n) == (one.gamma, one.rho, one.n),
+        "lookup disagrees with the scan",
+    )
 
 
 CHECKS = [

@@ -1,9 +1,12 @@
+import argparse
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
+import transferlens.cli as cli
 from transferlens.cli import (
     PipelineConfig,
     build_parser,
@@ -114,6 +117,42 @@ def test_load_config_file_errors(tmp_path):
         p.write_text(text)
         with pytest.raises(DataError, match=pattern):
             load_config_file(p)
+
+
+TUNING = {
+    "sigma", "kappa", "tau", "kappa_cap", "epsilon", "alpha", "omega1", "omega2",
+    "max_dim", "n_min", "train_frac", "epochs", "ensemble", "hidden", "lr",
+    "batch_size", "seed", "consistency_sample",
+}
+COMMON_FLAGS = {"-h", "--help", "--corpus", "--outdir", "--config"} | {
+    "--" + name.replace("_", "-") for name in TUNING
+}
+EXTRA_FLAGS = {
+    "materialize": set(),
+    "mine-roots": set(),
+    "import-external": {"--kb", "--kb-map", "--kb-lookup-url", "--kb-describe-url"},
+    "fti": {"--auc-csv"},
+    "explain": {"--evidence", "--auc-csv"},
+    "report": {"--auc-csv"},
+    "selftest": set(),
+}
+
+
+def test_cli_surface_is_pinned(tmp_path):
+    (sub,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert set(sub.choices) == set(EXTRA_FLAGS)
+    for name, parser in sub.choices.items():
+        assert set(parser._option_string_actions) == COMMON_FLAGS | EXTRA_FLAGS[name], name
+    assert {f.name for f in fields(PipelineConfig)} == TUNING
+
+    p = tmp_path / "all.cfg"
+    p.write_text("".join(f"{key} = 1\n" for key in sorted(TUNING)))
+    assert set(load_config_file(p)) == TUNING
+    p.write_text("early_stop = 0\n")
+    with pytest.raises(DataError, match="unknown config key"):
+        load_config_file(p)
 
 
 def test_parse_evidence_forms():
@@ -254,6 +293,35 @@ def test_fti_ingests_measured_aucs(corpus_dir, tmp_path, capsys):
     assert "n=2" in capsys.readouterr().out
 
 
+def test_fti_ingestion_does_not_parse_the_corpus(corpus_dir, tmp_path, monkeypatch):
+    def refuse(path):
+        raise AssertionError("fti --auc-csv parsed the corpus")
+
+    monkeypatch.setattr(cli, "load_corpus", refuse)
+    csv = tmp_path / "measured.csv"
+    csv.write_text("source,target,auc_base,auc_hard,auc_soft\nda,db,0.6,0.55,0.7\n")
+    out = tmp_path / "o"
+    args = ["--corpus", str(corpus_dir), "--outdir", str(out), "--auc-csv", str(csv)]
+    assert main(["fti", *args]) == 0
+    assert (out / "fti" / "auc.csv").exists()
+
+
+def test_fti_rejects_a_nan_auc(corpus_dir, tmp_path, capsys):
+    csv = tmp_path / "measured.csv"
+    csv.write_text(
+        "source,target,auc_base,auc_hard,auc_soft\n"
+        "da,db,0.6,0.55,0.7\n"
+        "db,da,0.5,0.52,nan\n"
+    )
+    out = tmp_path / "o"
+    code = main(
+        ["fti", "--corpus", str(corpus_dir), "--outdir", str(out), "--auc-csv", str(csv)]
+    )
+    assert code == 2
+    assert f"{csv}:3:" in capsys.readouterr().err
+    assert not (out / "fti").exists()
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     assert "ok" in capsys.readouterr().out.lower()
@@ -265,3 +333,22 @@ def test_module_entrypoint_runs():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_selftest_fails_under_optimized_python():
+    # -O strips assert statements; a broken check must still fail the run
+    script = (
+        "import dataclasses, sys\n"
+        "from transferlens import selfcheck\n"
+        "from transferlens.cli import main\n"
+        "assert False, 'asserts are live, so -O did not take effect'\n"
+        "real = selfcheck.materialize\n"
+        "selfcheck.materialize = lambda t, a: dataclasses.replace(\n"
+        "    real(t, a), class_atoms=frozenset(), role_atoms=frozenset())\n"
+        "sys.exit(main(['selftest']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "FAIL closure-fixture: closure mismatch" in proc.stdout

@@ -268,6 +268,21 @@ def test_csv_rejects_malformed_input(tmp_path):
     with pytest.raises(DataError, match=":2"):
         records_from_csv(path)
 
+    # values outside [0, 1], self-pairs and repeated pairs, one bad row each
+    head = "source,target,auc_base,auc_hard,auc_soft\nz,y,0.5,0.5,0.5\n"
+    for row, pattern in [
+        ("a,b,nan,0.5,0.5", ":3: AUCs must lie in"),
+        ("a,b,0.5,inf,0.5", ":3: AUCs must lie in"),
+        ("a,b,0.5,0.5,-inf", ":3: AUCs must lie in"),
+        ("a,b,0.5,1.5,0.5", ":3: AUCs must lie in"),
+        ("a,b,-0.1,0.5,0.5", ":3: AUCs must lie in"),
+        ("a,a,0.5,0.5,0.5", ":3: self-pair a,a"),
+        ("z,y,0.6,0.5,0.5", r":3: duplicate pair z,y \(first on line 2\)"),
+    ]:
+        path.write_text(head + row + "\n")
+        with pytest.raises(DataError, match=pattern):
+            records_from_csv(path)
+
 
 def test_csv_ingestion_feeds_the_fti_cache(tmp_path):
     path = tmp_path / "auc.csv"

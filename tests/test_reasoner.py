@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -148,6 +149,23 @@ def test_composite_abox_assertion():
     assert clo.entails(Entailment.parse("A(x)"))
     # no fresh names leak into the public atom dump
     assert not any("_N" in line for line in clo.to_lines())
+
+
+def test_materialize_leaves_no_cyclic_garbage():
+    # garbage that only the cycle collector frees costs every stage that
+    # closes many LSOs; plain reference counting must free all of it
+    ont = parse_ontology("SubClassOf(A B)\nClassAssert(And(A Some(r Nom(c))) x)\n")
+    tbox = normalize_tbox(ont.tbox)
+    materialize(tbox, ont.abox)  # fill the compiled-rule cache first
+    gc.collect()
+    gc.disable()
+    try:
+        clo = materialize(tbox, ont.abox)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert clo.entails(Entailment.parse("B(x)"))
+    assert clo.entails(Entailment.parse("r(x,c)"))
 
 
 def test_saturation_through_filler_subsumption():
