@@ -105,11 +105,9 @@ from .ontology import (
 from .reasoner import (
     Entailment,
     EntailmentClosure,
-    class_atom,
     entails,
     is_consistent,
     materialize,
-    role_atom,
 )
 from .report import Report, build_report, render_result, sort_results
 

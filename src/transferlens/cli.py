@@ -13,14 +13,14 @@ isolation:
     selftest         embedded correctness checks, no corpus needed
 
 Each stage that reads ``--corpus`` attaches the axioms an earlier
-``import-external`` left in the outdir, except ``import-external`` itself,
-which starts from the bare corpus.  ``fti --auc-csv`` and ``selftest`` read
-no corpus.
+``import-external`` left in the outdir, except ``mine-roots`` and
+``import-external``, which start from the bare corpus.  ``fti --auc-csv``
+and ``selftest`` read no corpus.
 
 Exit codes: 0 success, 1 usage errors, 2 data errors.  Tuning values come
 from flags first, then a ``key = value`` config file, then defaults; the
 tuning keys are the fields of MiningParams, TrainConfig and SearchConfig
-(less ``early_stop``) plus the index weights and the import's sample size.
+(less ``early_stop``) plus the index weights.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ PipelineConfig = make_dataclass(
     + [
         ("omega1", float, 1.0),
         ("omega2", float, 1.0),
-        ("consistency_sample", "int | None", None),
     ],
     frozen=True,
 )
@@ -153,14 +152,18 @@ def _load_corpus(args, outdir: Path | None) -> Corpus:
     return corpus
 
 
-def _load_fti(args, cfg: PipelineConfig, outdir: Path) -> dict:
+def _load_fti(args, cfg: PipelineConfig, outdir: Path, domains) -> dict:
     csv_path = Path(args.auc_csv or outdir / "fti" / "auc.csv")
     if not csv_path.exists():
         raise DataError(
             f"no transfer results at {csv_path}; run the fti stage first "
             f"or pass --auc-csv"
         )
-    return fti_from_records(records_from_csv(csv_path), cfg.omega1, cfg.omega2)
+    records = records_from_csv(csv_path)
+    unknown = {x for r in records for x in (r.source, r.target)} - {d.id for d in domains}
+    if unknown:
+        raise DataError(f"{csv_path}: domains not in the corpus: {', '.join(sorted(unknown))}")
+    return fti_from_records(records, cfg.omega1, cfg.omega2)
 
 
 def parse_evidence(text: str):
@@ -196,7 +199,8 @@ def cmd_materialize(args, cfg: PipelineConfig, outdir: Path) -> int:
 
 def cmd_mine_roots(args, cfg: PipelineConfig, outdir: Path) -> int:
     params = _sub_config(cfg, MiningParams)
-    for d in _load_corpus(args, outdir).domains:
+    # the bare corpus, as in import-external, so that reruns mine the same roots
+    for d in _load_corpus(args, None).domains:
         rs = mine_roots(d, params)
         lines = [
             f"# domain {d.id} sigma={params.sigma} kappa={params.kappa} tau={params.tau}"
@@ -260,13 +264,7 @@ def cmd_import_external(args, cfg: PipelineConfig, outdir: Path) -> int:
         else:
             roots = list(mine_roots(d, params).root_individuals)
         axioms, audit = import_external(
-            d,
-            roots,
-            adapter,
-            mapping,
-            constraints=corpus.constraints,
-            consistency_sample=cfg.consistency_sample,
-            seed=cfg.seed,
+            d, roots, adapter, mapping, constraints=corpus.constraints
         )
         _write(
             outdir / "external" / f"{d.id}.axioms",
@@ -303,7 +301,7 @@ def cmd_fti(args, cfg: PipelineConfig, outdir: Path) -> int:
 
 def cmd_explain(args, cfg: PipelineConfig, outdir: Path) -> int:
     corpus = _load_corpus(args, outdir)
-    fti = _load_fti(args, cfg, outdir)
+    fti = _load_fti(args, cfg, outdir, corpus.domains)
     evidence = parse_evidence(args.evidence)
     res = correlative_reason(
         corpus.domains, evidence, fti,
@@ -325,7 +323,7 @@ def _result_row(res, cover: int | None) -> str:
 
 def cmd_report(args, cfg: PipelineConfig, outdir: Path) -> int:
     domains = _load_corpus(args, outdir).domains
-    fti = _load_fti(args, cfg, outdir)
+    fti = _load_fti(args, cfg, outdir, domains)
     # the scan's evidence space and universe serve the other two tables too
     scan = core_context_search(domains, fti, _sub_config(cfg, SearchConfig))
     space = scan.space

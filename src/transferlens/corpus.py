@@ -17,6 +17,7 @@ LSO files hold ``@ann key value`` annotation lines followed by ABox axioms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import date
 from pathlib import Path
 
 from .domain import LearningDomain, Lso
@@ -24,6 +25,7 @@ from .errors import DataError
 from .ontology import (
     Gci,
     NormalizedTBox,
+    Ontology,
     OntologyError,
     TBoxAxiom,
     normalize_tbox,
@@ -72,6 +74,13 @@ def _read_manifest(path: Path) -> dict[str, str]:
     return out
 
 
+def _parse(path: Path, text: str) -> Ontology:
+    try:
+        return parse_ontology(text)
+    except OntologyError as err:
+        raise DataError(f"{path}: {err}") from err
+
+
 def _parse_lso_file(path: Path) -> Lso:
     ann: set[tuple[str, str]] = set()
     body: list[str] = []
@@ -81,15 +90,19 @@ def _parse_lso_file(path: Path) -> Lso:
             parts = stripped.split()
             if len(parts) != 3:
                 raise DataError(f"{path}:{lineno}: expected '@ann key value'")
+            if parts[1] == "dat":
+                try:
+                    date.fromisoformat(parts[2])
+                except ValueError:
+                    raise DataError(
+                        f"{path}:{lineno}: dat {parts[2]!r} is not an ISO date"
+                    ) from None
             ann.add((parts[1], parts[2]))
         elif stripped.startswith("@"):
             raise DataError(f"{path}:{lineno}: unknown directive {stripped.split()[0]!r}")
         else:
             body.append(raw)
-    try:
-        ont = parse_ontology("\n".join(body))
-    except OntologyError as err:
-        raise DataError(f"{path}: {err}") from err
+    ont = _parse(path, "\n".join(body))
     if ont.tbox:
         raise DataError(f"{path}: TBox axioms are not allowed in LSO files")
     return Lso(name=path.stem, annotations=frozenset(ann), abox=ont.abox)
@@ -102,20 +115,14 @@ def load_corpus(root: str | Path) -> Corpus:
     tbox_file = root / "tbox.ont"
     if not tbox_file.exists():
         raise DataError(f"{root} has no tbox.ont")
-    try:
-        tbox_ont = parse_ontology(tbox_file.read_text())
-    except OntologyError as err:
-        raise DataError(f"{tbox_file}: {err}") from err
+    tbox_ont = _parse(tbox_file, tbox_file.read_text())
     if tbox_ont.abox:
         raise DataError(f"{tbox_file}: ABox axioms do not belong in the shared TBox")
 
     constraints: frozenset[TBoxAxiom] = frozenset()
     cfile = root / "constraints.ont"
     if cfile.exists():
-        try:
-            cont = parse_ontology(cfile.read_text())
-        except OntologyError as err:
-            raise DataError(f"{cfile}: {err}") from err
+        cont = _parse(cfile, cfile.read_text())
         if cont.abox:
             raise DataError(f"{cfile}: constraints must be TBox axioms")
         for ax in cont.tbox:

@@ -15,6 +15,7 @@ numbers, averaged per LSO).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from datetime import date
 
 import numpy as np
 
@@ -197,7 +198,7 @@ def split_indices(
     n = len(domain.lsos)
     dats = []
     for lso in domain.lsos:
-        d = [v for k, v in lso.annotations if k == "dat"]
+        d = [date.fromisoformat(v) for k, v in lso.annotations if k == "dat"]
         dats.append(min(d) if d else None)
     if all(d is not None for d in dats):
         order = sorted(range(n), key=lambda i: (dats[i], domain.lsos[i].name))

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
-import numpy as np
-
 from .domain import LearningDomain
 from .errors import DataError
 from .ontology import ABoxAxiom, Atomic, ClassAssertion, Gci, NAME_RE, RoleAssertion
@@ -290,11 +288,9 @@ def _keeps_consistent(
     domain: LearningDomain,
     extra: frozenset[ABoxAxiom],
     constraints: frozenset[Gci],
-    sample_idx,
 ) -> str | None:
-    """None when every checked LSO stays consistent, else the witness name."""
-    for i in sample_idx:
-        lso = domain.lsos[i]
+    """None when every LSO stays consistent, else the first witness's name."""
+    for lso in domain.lsos:
         if not is_consistent(domain.tbox, lso.abox | extra, constraints):
             return lso.name
     return None
@@ -306,32 +302,18 @@ def import_external(
     adapter: KbAdapter,
     mapping: VocabularyMapping,
     constraints: frozenset[Gci] = frozenset(),
-    consistency_sample: int | None = None,
-    seed: int = 0,
 ) -> tuple[frozenset[ABoxAxiom], list[AuditRecord]]:
     """Import external axioms for a domain's root individuals.
 
     Individuals are processed in sorted order; for each, candidate entities
     are tried in adapter order and the first whose axioms keep every LSO
-    consistent (together with axioms already accepted) is taken.  With
-    ``consistency_sample`` set, the check covers a seeded sample of LSOs
-    instead of all of them.  Returns the accepted axioms and a full audit
-    trail of accept/reject/no-match decisions.
+    consistent (together with axioms already accepted) is taken.  Returns
+    the accepted axioms and a full audit trail of accept/reject/no-match
+    decisions.
 
     The returned axioms are not attached to the domain; callers decide via
     ``domain.set_external_axioms``.
     """
-    if consistency_sample is not None and consistency_sample < 1:
-        raise DataError(
-            f"consistency sample must be positive, got {consistency_sample}"
-        )
-    n = len(domain.lsos)
-    if consistency_sample is None or consistency_sample >= n:
-        sample_idx = list(range(n))
-    else:
-        rng = np.random.default_rng(seed)
-        sample_idx = sorted(rng.choice(n, size=consistency_sample, replace=False))
-
     accepted: set[ABoxAxiom] = set()
     audit: list[AuditRecord] = []
     for individual in sorted(set(roots)):
@@ -341,9 +323,7 @@ def import_external(
             continue
         for entity_id in candidates:
             axioms = extract_axioms(individual, adapter.describe(entity_id), mapping)
-            witness = _keeps_consistent(
-                domain, frozenset(accepted | axioms), constraints, sample_idx
-            )
+            witness = _keeps_consistent(domain, frozenset(accepted | axioms), constraints)
             if witness is None:
                 accepted |= axioms
                 audit.append(AuditRecord(domain.id, individual, entity_id, "accepted"))

@@ -221,25 +221,20 @@ class Ontology:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_./:\-]+|\(|\)")
+# a name or a parenthesis, whitespace, or any other (unexpected) character
+_TOKEN_RE = re.compile(r"([A-Za-z0-9_./:\-]+|[()])|\s+|(.)", re.DOTALL)
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens: list[tuple[str, int, int]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0]
-            pos = 0
-            while pos < len(line):
-                ch = line[pos]
-                if ch.isspace():
-                    pos += 1
-                    continue
-                m = _TOKEN_RE.match(line, pos)
-                if not m:
-                    raise ParseError(f"unexpected character {ch!r}", lineno, pos + 1)
-                self.tokens.append((m.group(), lineno, pos + 1))
-                pos = m.end()
+            for m in _TOKEN_RE.finditer(raw.split("#", 1)[0]):
+                tok, bad = m.groups()
+                if bad is not None:
+                    raise ParseError(f"unexpected character {bad!r}", lineno, m.start() + 1)
+                if tok is not None:
+                    self.tokens.append((tok, lineno, m.start() + 1))
         self.i = 0
 
     def peek(self) -> tuple[str, int, int] | None:
@@ -351,10 +346,7 @@ def parse_ontology(text: str) -> Ontology:
     tbox: set[TBoxAxiom] = set()
     abox: set[ABoxAxiom] = set()
 
-    while True:
-        tok = p.peek()
-        if tok is None:
-            break
+    while p.peek() is not None:
         head, line, col = p.next("axiom")
         if head == "SubClassOf":
             p.expect("(")

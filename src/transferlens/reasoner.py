@@ -33,7 +33,6 @@ from .ontology import (
     Bottom,
     ClassAssertion,
     ConceptExpr,
-    Conjunction,
     Equality,
     Existential,
     Gci,
@@ -48,6 +47,7 @@ from .ontology import (
     RoleAssertion,
     TBoxAxiom,
     Top,
+    _FreshNames,
     normalize_tbox,
 )
 
@@ -78,14 +78,6 @@ class Entailment:
             raise ValueError(f"not an atom: {text!r}")
         pred, a, b = m.groups()
         return Entailment(pred, (a,) if b is None else (a, b))
-
-
-def class_atom(concept: str, ind: str) -> Entailment:
-    return Entailment(concept, (ind,))
-
-
-def role_atom(role: str, subj: str, obj: str) -> Entailment:
-    return Entailment(role, (subj, obj))
 
 
 class UnionFind:
@@ -160,7 +152,14 @@ class _Compiled:
     roles: frozenset[str]
 
 
-def _classify(ntbox: NormalizedTBox) -> dict[str, set[str]]:
+def _classify(
+    subs: list[tuple[str, str]],
+    conjs: list[tuple[str, str, str]],
+    exls: list[tuple[str, str, str]],
+    exrs: list[tuple[str, str, str]],
+    role_sups: dict[str, set[str]],
+    role_chains,
+) -> dict[str, set[str]]:
     """Superclass sets over basic concept keys, saturated until fixpoint.
 
     Propagation covers subclass and conjunction steps, existential
@@ -169,19 +168,6 @@ def _classify(ntbox: NormalizedTBox) -> dict[str, set[str]]:
     factors through unnamed successors is reduced to a plain pair here.
     """
     keys: set[str] = {_TOP}
-    subs: list[tuple[str, str]] = []
-    conjs: list[tuple[str, str, str]] = []
-    exls: list[tuple[str, str, str]] = []
-    exrs: list[tuple[str, str, str]] = []
-    for r in ntbox.rules:
-        if isinstance(r, RSub):
-            subs.append((_basic_key(r.lhs), _basic_key(r.rhs)))
-        elif isinstance(r, RConj):
-            conjs.append((_basic_key(r.lhs1), _basic_key(r.lhs2), _basic_key(r.rhs)))
-        elif isinstance(r, RExistLhs):
-            exls.append((r.role, _basic_key(r.filler), _basic_key(r.rhs)))
-        elif isinstance(r, RExistRhs):
-            exrs.append((_basic_key(r.lhs), r.role, _basic_key(r.filler)))
     for a, b in subs:
         keys.update((a, b))
     for a1, a2, b in conjs:
@@ -193,9 +179,6 @@ def _classify(ntbox: NormalizedTBox) -> dict[str, set[str]]:
 
     sup: dict[str, set[str]] = {k: {k, _TOP} for k in keys}
     edges: dict[str, set[tuple[str, str]]] = {}
-    role_up: dict[str, set[str]] = {}
-    for rs in ntbox.role_subs:
-        role_up.setdefault(rs.sub, set()).add(rs.sup)
 
     changed = True
     while changed:
@@ -226,7 +209,7 @@ def _classify(ntbox: NormalizedTBox) -> dict[str, set[str]]:
                 if a in sx:
                     add_edge(role, x, f)
         for role, pairs in list(edges.items()):
-            for sup_role in role_up.get(role, ()):
+            for sup_role in role_sups.get(role, ()):
                 for x, y in list(pairs):
                     add_edge(sup_role, x, y)
             for r2, f, b in exls:
@@ -239,7 +222,7 @@ def _classify(ntbox: NormalizedTBox) -> dict[str, set[str]]:
             for x, y in list(pairs):
                 if _BOT in sup[y] and _BOT not in sup[x]:
                     add_sup(x, _BOT)
-        for ch in ntbox.role_chains:
+        for ch in role_chains:
             first = edges.get(ch.first, ())
             second = edges.get(ch.second, ())
             if not first or not second:
@@ -265,7 +248,25 @@ def _atom_key(key: str) -> str:
 
 
 def _compile(ntbox: NormalizedTBox) -> _Compiled:
-    sup = _classify(ntbox)
+    subs: list[tuple[str, str]] = []
+    conjs: list[tuple[str, str, str]] = []
+    exls: list[tuple[str, str, str]] = []
+    exrs: list[tuple[str, str, str]] = []
+    for r in ntbox.rules:
+        if isinstance(r, RSub):
+            subs.append((_basic_key(r.lhs), _basic_key(r.rhs)))
+        elif isinstance(r, RConj):
+            conjs.append((_basic_key(r.lhs1), _basic_key(r.lhs2), _basic_key(r.rhs)))
+        elif isinstance(r, RExistLhs):
+            exls.append((r.role, _basic_key(r.filler), _basic_key(r.rhs)))
+        elif isinstance(r, RExistRhs):
+            exrs.append((_basic_key(r.lhs), r.role, _basic_key(r.filler)))
+    role_sups: dict[str, set[str]] = {}
+    roles: set[str] = set()
+    for rs in ntbox.role_subs:
+        role_sups.setdefault(rs.sub, set()).add(rs.sup)
+        roles.update((rs.sub, rs.sup))
+    sup = _classify(subs, conjs, exls, exrs, role_sups, ntbox.role_chains)
 
     sub_by_lhs: dict[str, set[str]] = {}
     for x, sx in sup.items():
@@ -276,52 +277,28 @@ def _compile(ntbox: NormalizedTBox) -> _Compiled:
     conj_by_part: dict[str, set[tuple[str, str]]] = {}
     exl_by_role: dict[str, set[tuple[str, str]]] = {}
     exl_by_filler: dict[str, set[tuple[str, str]]] = {}
-    exr_direct: dict[str, set[tuple[str, str]]] = {}
-    nominal_inds: set[str] = set()
-    concept_keys: set[str] = set(sup) | {_atom_key(k) for k in sup}
-    roles: set[str] = set()
+    # A ⊑ ∃r.{b} fires on A itself only: every subsumer of A is derived as an
+    # atom through sub_by_lhs, and that atom fires its own ground rule
+    exr_ground: dict[str, set[tuple[str, str]]] = {}
+    nominal_inds = {key[1:] for key in sup if key.startswith("{")}
+    concept_keys = set(sup) | {_atom_key(k) for k in sup}
 
-    for key in sup:
-        if key.startswith("{"):
-            nominal_inds.add(key[1:])
+    for a1, a2, b in conjs:
+        a1, a2 = _atom_key(a1), _atom_key(a2)
+        conj_by_part.setdefault(a1, set()).add((a2, b))
+        conj_by_part.setdefault(a2, set()).add((a1, b))
+    for role, f, b in exls:
+        roles.add(role)
+        f = _atom_key(f)
+        exl_by_role.setdefault(role, set()).add((f, b))
+        if f != _TOP:
+            exl_by_filler.setdefault(f, set()).add((role, b))
+    for a, role, f in exrs:
+        roles.add(role)
+        if f.startswith("{"):
+            # the only existential right side with a named witness
+            exr_ground.setdefault(_atom_key(a), set()).add((role, f[1:]))
 
-    for r in ntbox.rules:
-        if isinstance(r, RConj):
-            a1, a2 = _atom_key(_basic_key(r.lhs1)), _atom_key(_basic_key(r.lhs2))
-            b = _basic_key(r.rhs)
-            conj_by_part.setdefault(a1, set()).add((a2, b))
-            conj_by_part.setdefault(a2, set()).add((a1, b))
-        elif isinstance(r, RExistLhs):
-            f = _basic_key(r.filler)
-            f = f if f == _TOP else _atom_key(f)
-            b = _basic_key(r.rhs)
-            roles.add(r.role)
-            exl_by_role.setdefault(r.role, set()).add((f, b))
-            if f != _TOP:
-                exl_by_filler.setdefault(f, set()).add((r.role, b))
-        elif isinstance(r, RExistRhs):
-            roles.add(r.role)
-            if isinstance(r.filler, Nominal):
-                # the only existential right side with a named witness
-                exr_direct.setdefault(_atom_key(_basic_key(r.lhs)), set()).add(
-                    (r.role, r.filler.individual)
-                )
-                nominal_inds.add(r.filler.individual)
-
-    # ground rule for A ⊑ ∃r.{b} must also fire through derived subsumers
-    exr_ground: dict[str, set[tuple[str, str]]] = {k: set(v) for k, v in exr_direct.items()}
-    for x, sx in sup.items():
-        ax = _atom_key(x)
-        for b in sx:
-            if b == x:
-                continue
-            for role_ind in exr_direct.get(_atom_key(b), ()):
-                exr_ground.setdefault(ax, set()).add(role_ind)
-
-    role_sups: dict[str, set[str]] = {}
-    for rs in ntbox.role_subs:
-        role_sups.setdefault(rs.sub, set()).add(rs.sup)
-        roles.update((rs.sub, rs.sup))
     chain_by_first: dict[str, set[tuple[str, str]]] = {}
     chain_by_second: dict[str, set[tuple[str, str]]] = {}
     for ch in ntbox.role_chains:
@@ -435,26 +412,16 @@ def _prepare(
             complex_concepts[ax.concept] = None
     if not complex_concepts:
         return ntbox, list(abox), frozenset()
-    counter = ntbox.next_fresh
-    names: dict[ConceptExpr, Atomic] = {}
-    extra: set[TBoxAxiom] = set()
-    reserved = set(ntbox.fresh)
-    for c in sorted(complex_concepts, key=str):
-        while f"_N{counter}" in reserved:
-            counter += 1
-        atom = Atomic(f"_N{counter}")
-        counter += 1
-        reserved.add(atom.name)
-        names[c] = atom
-        extra.add(Gci(atom, c))
+    fresh = _FreshNames(set(ntbox.fresh), ntbox.next_fresh)
+    names = {c: fresh.new() for c in sorted(complex_concepts, key=str)}
+    extra = frozenset(Gci(atom, c) for c, atom in names.items())
     rewritten: list[ABoxAxiom] = []
     for ax in abox:
         if isinstance(ax, ClassAssertion) and ax.concept in names:
             rewritten.append(ClassAssertion(names[ax.concept], ax.individual))
         else:
             rewritten.append(ax)
-    minted = frozenset(a.name for a in names.values())
-    return extended_tbox(ntbox, frozenset(extra)), rewritten, minted
+    return extended_tbox(ntbox, extra), rewritten, frozenset(fresh.created)
 
 
 def materialize(tbox, abox) -> EntailmentClosure:
@@ -474,7 +441,8 @@ def materialize(tbox, abox) -> EntailmentClosure:
     by_key: dict[str, set[str]] = {}
     role_out: dict[tuple[str, str], set[str]] = {}
     role_in: dict[tuple[str, str], set[str]] = {}
-    inequalities: list[tuple[str, str]] = []
+    # known before any merge, so that every merge checks all of them
+    inequalities = [(ax.a, ax.b) for ax in axioms if isinstance(ax, Inequality)]
     state = {"inconsistent": False, "witness": None, "insertions": 0}
     work: list[tuple] = []
 
@@ -609,12 +577,8 @@ def materialize(tbox, abox) -> EntailmentClosure:
         elif isinstance(ax, Inequality):
             mention(ax.a)
             mention(ax.b)
-            inequalities.append((ax.a, ax.b))
         else:
             raise OntologyError(f"not an ABox axiom: {ax}")
-    for p, q in inequalities:
-        if uf.find(p) == uf.find(q):
-            fail(f"{p} and {q} asserted distinct but derived equal")
 
     while work and not state["inconsistent"]:
         item = work.pop()
@@ -648,9 +612,7 @@ def materialize(tbox, abox) -> EntailmentClosure:
 def is_consistent(tbox, abox, constraints=frozenset()) -> bool:
     """True iff (tbox ∪ constraints, abox) derives no contradiction."""
     ntbox = tbox if isinstance(tbox, NormalizedTBox) else normalize_tbox(frozenset(tbox))
-    if constraints:
-        ntbox = extended_tbox(ntbox, frozenset(constraints))
-    return not materialize(ntbox, abox).inconsistent
+    return not materialize(extended_tbox(ntbox, frozenset(constraints)), abox).inconsistent
 
 
 def entails(closure: EntailmentClosure, g: Entailment) -> bool:

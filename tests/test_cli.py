@@ -7,6 +7,7 @@ from dataclasses import fields
 import pytest
 
 import transferlens.cli as cli
+from conftest import MINI_FLIGHTS
 from transferlens.cli import (
     PipelineConfig,
     build_parser,
@@ -122,7 +123,7 @@ def test_load_config_file_errors(tmp_path):
 TUNING = {
     "sigma", "kappa", "tau", "kappa_cap", "epsilon", "alpha", "omega1", "omega2",
     "max_dim", "n_min", "train_frac", "epochs", "ensemble", "hidden", "lr",
-    "batch_size", "seed", "consistency_sample",
+    "batch_size", "seed",
 }
 COMMON_FLAGS = {"-h", "--help", "--corpus", "--outdir", "--config"} | {
     "--" + name.replace("_", "-") for name in TUNING
@@ -258,6 +259,43 @@ def test_pipeline_stages_write_resumable_artifacts(
     assert sorted(data["domains"]) == ["da", "db", "dc", "dd"]
     assert len(data["general"]) == 3
     assert (out / "report.txt").read_text().startswith("Transfer evidence report")
+
+
+def test_rerun_of_roots_and_import_is_stable(tmp_path):
+    # on mini_flights the import adds individuals (ATL, Chicago, ...) that
+    # mining would take as roots if it saw the imported axioms, and the next
+    # import would then query them
+    base = ["--corpus", str(MINI_FLIGHTS), "--outdir", str(tmp_path)]
+
+    def artifacts():
+        return {
+            p.relative_to(tmp_path): p.read_bytes()
+            for sub in ("roots", "external")
+            for p in (tmp_path / sub).iterdir()
+        }
+
+    for stage in ("materialize", "mine-roots", "import-external"):
+        assert main([stage] + base) == 0
+    first = artifacts()
+    for stage in ("mine-roots", "import-external"):
+        assert main([stage] + base) == 0
+    assert artifacts() == first
+
+
+def test_report_and_explain_reject_unknown_domains(corpus_dir, tmp_path, capsys):
+    csv = tmp_path / "measured.csv"
+    csv.write_text(
+        "source,target,auc_base,auc_hard,auc_soft\n"
+        "da,db,0.6,0.55,0.7\n"
+        "ZZ,da,0.5,0.52,0.66\n"
+    )
+    out = tmp_path / "o"
+    base = ["--corpus", str(corpus_dir), "--outdir", str(out), "--auc-csv", str(csv)]
+    capsys.readouterr()
+    for argv in (["report"], ["explain", "--evidence", "d_obs"]):
+        assert main(argv + base) == 2
+        assert f"{csv}: domains not in the corpus: ZZ" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fti_ingests_measured_aucs(corpus_dir, tmp_path, capsys):

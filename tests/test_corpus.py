@@ -125,6 +125,15 @@ def test_manifest_errors(tmp_path):
         load_corpus(root)
 
 
+def test_non_iso_dat_names_file_and_line(tmp_path):
+    root = _write_corpus(
+        tmp_path / "c",
+        domains={"d1": ("A(x)", ["@ann fam left\n@ann dat 2026-2-9\nClassAssert(A x)"])},
+    )
+    with pytest.raises(DataError, match=r"lso-000\.ont:2: dat '2026-2-9' is not an ISO date"):
+        load_corpus(root)
+
+
 def test_parse_errors_carry_file_positions(tmp_path):
     root = _write_corpus(
         tmp_path / "c", domains={"d1": ("A(x)", ["ClassAssert(A"])}

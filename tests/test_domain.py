@@ -134,6 +134,12 @@ def test_split_chronological_when_all_dated():
     train, test = split_indices(d, train_frac=0.67)
     assert train == [1, 2] and test == [0]
 
+    # dates, not strings: the basic-format 20260101 is the earliest
+    anns = [[("dat", "2026-12-01")], [("dat", "20260101")], [("dat", "2026-06-01")]]
+    d = make_domain("a", "Delayed(d)", LSOS, tbox=TBOX, annotations=anns)
+    train, test = split_indices(d, train_frac=0.67)
+    assert train == [1, 2] and test == [0]
+
 
 def test_split_seeded_shuffle_otherwise():
     d = _dom()

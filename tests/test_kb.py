@@ -3,7 +3,6 @@ from __future__ import annotations
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-import numpy as np
 import pytest
 
 from domfix import make_domain
@@ -227,37 +226,24 @@ def test_accepted_axioms_accumulate_into_later_checks(tmp_path):
     )
 
 
-def test_consistency_sample_checks_only_the_sample(tmp_path):
+def test_gate_checks_every_lso(tmp_path):
     # LSO 0 is benign, LSO 1 carries the conflicting class
     docs = [
         "ClassAssert(Dep d)",
         "ClassAssert(Dep d)\nClassAssert(Location LAX)",
     ]
     domain = make_domain("s", "Dep(d)", docs)
-    kb = _kb(tmp_path)
-    mapping = VocabularyMapping.parse(MAP_TEXT)
-
-    full, _ = import_external(
-        domain, ["LAX"], kb, mapping, constraints=AIRPORT_CONSTRAINTS
+    axioms, audit = import_external(
+        domain, ["LAX"], _kb(tmp_path), VocabularyMapping.parse(MAP_TEXT),
+        constraints=AIRPORT_CONSTRAINTS,
     )
-    assert full == parse_abox(
+    assert [(a.entity_id, a.status, a.witness) for a in audit] == [
+        ("SONG1", "rejected", "lso-001"),
+        ("APT1", "accepted", None),
+    ]
+    assert axioms == parse_abox(
         "ClassAssert(Airport LAX)\nRoleAssert(iataCode LAX LAX)"
     )
-
-    seed = 0
-    picked = np.random.default_rng(seed).choice(2, size=1, replace=False)[0]
-    sampled, audit = import_external(
-        domain, ["LAX"], kb, mapping,
-        constraints=AIRPORT_CONSTRAINTS, consistency_sample=1, seed=seed,
-    )
-    if picked == 0:
-        # the conflicting LSO was never checked, so the song slips through
-        assert audit[0].entity_id == "SONG1" and audit[0].status == "accepted"
-    else:
-        assert audit[0].status == "rejected"
-
-    with pytest.raises(DataError, match="must be positive"):
-        import_external(domain, ["LAX"], kb, mapping, consistency_sample=0)
 
 
 def test_audit_record_line_format():

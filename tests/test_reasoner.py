@@ -181,6 +181,25 @@ def test_saturation_through_filler_subsumption():
     assert clo.entails(Entailment.parse("s(x,n)"))
 
 
+@pytest.mark.parametrize(
+    "route",
+    [
+        "SubClassOf(A B)\nClassAssert(A x)",
+        "SubClassOf(A Some(s C))\nSubClassOf(Some(s C) B)\nClassAssert(A x)",
+        # y sorts after x, so the merge moves y's nominal marker onto x
+        "SubClassOf(Nom(y) B)\nSameInd(x y)",
+    ],
+    ids=["subclass", "classified-existential", "nominal-after-merge"],
+)
+def test_nominal_witness_rule_fires_through_derived_subsumers(route):
+    # B ⊑ ∃r.{c} is only ever triggered by B(x), which each route derives
+    clo = _closure("SubClassOf(B Some(r Nom(c)))\n" + route)
+    assert not clo.inconsistent
+    assert clo.canonical("x") == "x"
+    assert clo.entails(Entailment.parse("B(x)"))
+    assert clo.entails(Entailment.parse("r(x,c)"))
+
+
 def test_bottom_propagates_through_tbox_successors():
     doc = """
     SubClassOf(A Some(r B))
