@@ -300,12 +300,13 @@ def cmd_fti(args, cfg: PipelineConfig, outdir: Path) -> int:
 
 
 def cmd_explain(args, cfg: PipelineConfig, outdir: Path) -> int:
+    search = _sub_config(cfg, SearchConfig)  # validates the thresholds as report does
     corpus = _load_corpus(args, outdir)
     fti = _load_fti(args, cfg, outdir, corpus.domains)
     evidence = parse_evidence(args.evidence)
     res = correlative_reason(
         corpus.domains, evidence, fti,
-        epsilon=cfg.epsilon, alpha=cfg.alpha, n_min=cfg.n_min,
+        epsilon=search.epsilon, alpha=search.alpha, n_min=search.n_min,
     )
     print(render_result(res))
     print(

@@ -1,30 +1,28 @@
 """Core-context search over synchronized entailment clusters.
 
 Two entailments are synchronized when exactly the same domains' closures
-contain them.  A context's statistics depend only on which domains carry all
-of its entailments, and that set is determined by the clusters the context
-touches, never by which member of a cluster was picked.  The search
-therefore walks sets of cluster representatives instead of raw entailment
-subsets: each representative set is scored once, and every concrete context
-it covers inherits the identical result.  On top of that, extension of a
-scored context stops early when its significance is hopeless, since adding
+contain them, i.e. when they share one domain mask.  A context's statistics
+depend only on its mask, the AND of its entailments' masks, which the
+clusters the context touches determine, whichever member of a cluster was
+picked.  The search therefore walks sets of cluster representatives, and
+every concrete context a set covers inherits its result; the evidence space
+scores each distinct mask once.  On top of that, extension of a scored
+context stops early when its significance is hopeless, since adding
 entailments only shrinks the evidence domains.
 
 The scan's result store is representative-level.  ``iter_contexts`` expands
 it to concrete contexts (for small universes and tests), ``rep_results``
 streams the compact form with exact cover counts, and ``lookup`` answers for
-any specific context, computing on demand if the search pruned it.
+any specific context, including one the search pruned.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .domain import LearningDomain
+from .domain import LearningDomain, membership_masks
 from .errors import DataError
 from .evidence import CoreContext, EvidenceResult, EvidenceSpace
 from .reasoner import Entailment
@@ -49,7 +47,7 @@ class SearchConfig:
 class SyncClusters:
     universe: tuple[Entailment, ...]
     clusters: tuple[tuple[Entailment, ...], ...]
-    sig_vecs: np.ndarray
+    masks: tuple[int, ...]
     of_entailment: dict[Entailment, int]
 
     @property
@@ -58,28 +56,27 @@ class SyncClusters:
 
 
 def sync_clusters(domains: list[LearningDomain]) -> SyncClusters:
-    """Partition the shared entailment universe by domain-membership signature."""
+    """Partition the shared entailment universe by domain mask."""
     closures = [d.entailment_closure() for d in domains]
     targets = {d.target for d in domains}
     return _cluster_closures(closures, targets)
 
 
 def _cluster_closures(closures, targets) -> SyncClusters:
-    universe = sorted(frozenset().union(*closures) - targets) if closures else []
-    groups: dict[tuple[bool, ...], list[Entailment]] = {}
+    masks = membership_masks(closures)
+    universe = sorted(masks.keys() - targets)
+    groups: dict[int, list[Entailment]] = {}
     for g in universe:
-        sig = tuple(g in c for c in closures)
-        groups.setdefault(sig, []).append(g)
+        groups.setdefault(masks[g], []).append(g)
     ordered = sorted(groups.items(), key=lambda kv: kv[1][0])
-    clusters = tuple(tuple(sorted(atoms)) for _, atoms in ordered)
-    sig_vecs = np.array([sig for sig, _ in ordered], dtype=bool)
+    clusters = tuple(tuple(atoms) for _, atoms in ordered)
     of_entailment = {
         g: ci for ci, cluster in enumerate(clusters) for g in cluster
     }
     return SyncClusters(
         universe=tuple(universe),
         clusters=clusters,
-        sig_vecs=sig_vecs,
+        masks=tuple(mask for mask, _ in ordered),
         of_entailment=of_entailment,
     )
 
@@ -150,7 +147,6 @@ class CoreContextScan:
         self.cfg = cfg
         self.results: dict[frozenset[int], EvidenceResult] = {}
         self.stats = SearchStats()
-        self._lookup_memo: dict[frozenset[int], EvidenceResult] = {}
         self._ran = False
 
     # -- search ------------------------------------------------------------
@@ -167,9 +163,8 @@ class CoreContextScan:
             math.comb(u, k) for k in range(2, self.cfg.max_dim + 1)
         )
         for i in range(n):
-            vec = self.clusters.sig_vecs[i]
-            res = self._evaluate((i,), vec)
-            self._walk((i,), vec, res)
+            mask = self.clusters.masks[i]
+            self._walk((i,), mask, self._evaluate((i,), mask))
         for key, res in self.results.items():
             cover = self._expansion_count(key)
             self.stats.covered += cover
@@ -178,28 +173,27 @@ class CoreContextScan:
                 self.stats.valid += cover
         return self
 
-    def _evaluate(self, idxs: tuple[int, ...], vec: np.ndarray) -> EvidenceResult:
+    def _evaluate(self, idxs: tuple[int, ...], mask: int) -> EvidenceResult:
         evidence = CoreContext(
             frozenset(self.clusters.clusters[i][0] for i in idxs)
         )
-        res = self.space.score_membership(evidence, vec)
+        res = self.space.score_mask(evidence, mask)
         self.results[frozenset(idxs)] = res
         self.stats.evaluated += 1
         return res
 
-    def _walk(self, idxs: tuple[int, ...], vec: np.ndarray, res: EvidenceResult) -> None:
+    def _walk(self, idxs: tuple[int, ...], mask: int, res: EvidenceResult) -> None:
         if len(idxs) >= self.cfg.max_dim:
             return
         if self.cfg.early_stop and len(idxs) >= 2 and early_stop(res, self.cfg.alpha):
             self.stats.early_stopped += 1
             return
         for nxt in range(idxs[-1] + 1, len(self.clusters.clusters)):
-            child_vec = vec & self.clusters.sig_vecs[nxt]
+            child_mask = mask & self.clusters.masks[nxt]
             # evidence domains can only shrink along an extension
-            assert not np.any(child_vec & ~vec), "evidence-domain growth"
+            assert not child_mask & ~mask, "evidence-domain growth"
             child = idxs + (nxt,)
-            child_res = self._evaluate(child, child_vec)
-            self._walk(child, child_vec, child_res)
+            self._walk(child, child_mask, self._evaluate(child, child_mask))
 
     # -- result access -----------------------------------------------------
 
@@ -237,23 +231,14 @@ class CoreContextScan:
                         yield replace(res, evidence=CoreContext(atoms))
 
     def lookup(self, atoms) -> EvidenceResult:
-        """Result for one specific context, computed on demand if pruned."""
-        self.run()
+        """Result for one specific context, whether or not the search pruned it."""
         atoms = frozenset(atoms)
         if not atoms:
             raise DataError("empty context")
         missing = [g for g in atoms if g not in self.clusters.of_entailment]
         if missing:
             raise DataError(f"not in the search universe: {sorted(map(str, missing))}")
-        key = frozenset(self.clusters.of_entailment[g] for g in atoms)
-        stored = self.results.get(key) or self._lookup_memo.get(key)
-        if stored is None:
-            vec = np.ones(len(self.space.ids), dtype=bool)
-            for i in key:
-                vec &= self.clusters.sig_vecs[i]
-            stored = self.space.score_membership(CoreContext(atoms), vec)
-            self._lookup_memo[key] = stored
-        return replace(stored, evidence=CoreContext(atoms))
+        return self.space.score(CoreContext(atoms))
 
 
 def _compositions(total: int, caps: list[int]):

@@ -78,6 +78,17 @@ class LearningDomain:
         )
 
 
+def membership_masks(atom_sets) -> dict[Entailment, int]:
+    """Entailment -> int mask over ``atom_sets``: bit i is set when the
+    i-th set holds the entailment."""
+    masks: dict[Entailment, int] = {}
+    for i, atoms in enumerate(atom_sets):
+        bit = 1 << i
+        for g in atoms:
+            masks[g] = masks.get(g, 0) | bit
+    return masks
+
+
 def domain_annotation(domain: LearningDomain) -> frozenset[tuple[str, str]]:
     """Annotation pairs shared by every LSO, plus the target marker."""
     shared = set(domain.lsos[0].annotations)

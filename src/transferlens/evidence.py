@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import betainc
 
-from .domain import LearningDomain
+from .domain import LearningDomain, membership_masks
 from .errors import DataError
 from .reasoner import Entailment
 
@@ -176,8 +176,10 @@ class EvidenceResult:
 @dataclass
 class EvidenceSpace:
     """Shared precomputation for scoring many evidence items over one
-    comparison set: domain closures, usable ordered pairs, and the aligned
-    transfer-index vector."""
+    comparison set: domain closures, usable ordered pairs, the aligned
+    transfer-index vector, and each entailment's domain mask (bit i set
+    when domain i's closure holds it).  Directed co-existence evidence
+    depends only on its mask, and each mask is scored once per space."""
 
     ids: tuple[str, ...]
     closures: tuple[frozenset[Entailment], ...]
@@ -187,6 +189,10 @@ class EvidenceSpace:
     epsilon: float
     alpha: float
     n_min: int
+
+    def __post_init__(self):
+        self.masks: dict[Entailment, int] = membership_masks(self.closures)
+        self._scored: dict[int, EvidenceResult] = {}
 
     @staticmethod
     def build(
@@ -209,6 +215,10 @@ class EvidenceSpace:
                     continue
                 v = fti.get((ids[i], ids[j]))
                 if v is not None:
+                    if not math.isfinite(v):
+                        raise DataError(
+                            f"transfer index of {ids[i]}->{ids[j]} is not finite: {v}"
+                        )
                     src.append(i)
                     dst.append(j)
                     vals.append(float(v))
@@ -225,11 +235,11 @@ class EvidenceSpace:
             n_min=n_min,
         )
 
-    def membership(self, atoms) -> np.ndarray:
-        """Boolean vector: which domains' closures contain every atom."""
-        out = np.ones(len(self.ids), dtype=bool)
+    def membership(self, atoms) -> int:
+        """Domain mask: bit i set when domain i's closure holds every atom."""
+        out = (1 << len(self.ids)) - 1
         for g in atoms:
-            out &= np.array([g in c for c in self.closures], dtype=bool)
+            out &= self.masks.get(g, 0)
         return out
 
     def correlate(self, v_e: np.ndarray, v_f: np.ndarray, n: int):
@@ -265,14 +275,22 @@ class EvidenceSpace:
         gamma, rho, reason, valid = self.correlate(v_e, self.fti_vec, n)
         return EvidenceResult(evidence, gamma, rho, n, valid, reason)
 
+    def score_mask(self, evidence: Evidence, mask: int) -> EvidenceResult:
+        """Score directed co-existence evidence by its domain mask, memoized."""
+        stored = self._scored.get(mask)
+        if stored is None:
+            member = np.array([mask >> i & 1 for i in range(len(self.ids))], dtype=bool)
+            stored = self._scored[mask] = self.score_membership(evidence, member)
+        return replace(stored, evidence=evidence)
+
     def score(self, evidence: Evidence) -> EvidenceResult:
         if isinstance(evidence, GeneralFactor):
             return self.score_general(evidence)
         if isinstance(evidence, ParticularNarrator):
             atoms = (evidence.entailment,)
         else:
-            atoms = tuple(evidence.entailments)
-        return self.score_membership(evidence, self.membership(atoms))
+            atoms = evidence.entailments
+        return self.score_mask(evidence, self.membership(atoms))
 
 
 _FIELD = {

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .domain import LearningDomain
+from .domain import LearningDomain, membership_masks
 from .errors import DataError
 from .reasoner import Entailment
 
@@ -54,45 +54,22 @@ class RootSet:
     root_individuals: tuple[str, ...]
 
 
-class _Bitsets:
-    """Per-entailment LSO membership masks for fast subset scoring."""
-
-    def __init__(self, domain: LearningDomain):
-        closures = []
-        for i, c in enumerate(domain.lso_closures()):
-            if c.inconsistent:
-                raise DataError(
-                    f"LSO {domain.lsos[i].name!r} of domain {domain.id} is "
-                    f"inconsistent; mine roots on a consistent corpus"
-                )
-            closures.append(c.atoms())
-        self.n = len(closures)
-        self.full = (1 << self.n) - 1
-        self.mask: dict[Entailment, int] = {}
-        for i, atoms in enumerate(closures):
-            bit = 1 << i
-            for g in atoms:
-                self.mask[g] = self.mask.get(g, 0) | bit
-
-    def support(self, g: Entailment) -> float:
-        return self.mask.get(g, 0).bit_count() / self.n
-
-    def score(self, subset, target_mask: int) -> tuple[float, float]:
-        both = target_mask
-        any_of = target_mask
-        for g in subset:
-            m = self.mask.get(g, 0)
-            both &= m
-            any_of |= m
-        r_e = both.bit_count() / self.n
-        r_i = (self.full & ~any_of).bit_count() / self.n
-        return r_e, r_i
+def _lso_masks(domain: LearningDomain) -> tuple[dict[Entailment, int], int]:
+    """Per-entailment LSO membership masks and the LSO count."""
+    closures = domain.lso_closures()
+    for i, c in enumerate(closures):
+        if c.inconsistent:
+            raise DataError(
+                f"LSO {domain.lsos[i].name!r} of domain {domain.id} is "
+                f"inconsistent; mine roots on a consistent corpus"
+            )
+    return membership_masks(c.atoms() for c in closures), len(closures)
 
 
 def frequent_entailments(domain: LearningDomain, sigma: float) -> frozenset[Entailment]:
-    bits = _Bitsets(domain)
+    masks, n = _lso_masks(domain)
     return frozenset(
-        g for g in bits.mask if g != domain.target and bits.support(g) >= sigma
+        g for g, m in masks.items() if g != domain.target and m.bit_count() / n >= sigma
     )
 
 
@@ -101,13 +78,20 @@ def effective_subsets(
 ) -> dict[frozenset[Entailment], tuple[float, float]]:
     """Qualifying exactly-``kappa``-element subsets with their (r_e, r_i)."""
     MiningParams(sigma=1.0, kappa=kappa, tau=tau, kappa_cap=kappa_cap)
-    bits = _Bitsets(domain)
-    target_mask = bits.mask.get(domain.target, 0)
-    universe = sorted(g for g in bits.mask if g != domain.target)
+    masks, n = _lso_masks(domain)
+    full = (1 << n) - 1
+    target_mask = masks.get(domain.target, 0)
+
+    def score(subset) -> tuple[float, float]:
+        both = any_of = target_mask
+        for g in subset:
+            both &= masks[g]
+            any_of |= masks[g]
+        return both.bit_count() / n, (full & ~any_of).bit_count() / n
 
     level: dict[frozenset[Entailment], tuple[float, float]] = {}
-    for g in universe:
-        s = bits.score((g,), target_mask)
+    for g in sorted(g for g in masks if g != domain.target):
+        s = score((g,))
         if s[0] + s[1] >= tau:
             level[frozenset((g,))] = s
     singles = sorted(g for fs in level for g in fs)
@@ -125,7 +109,7 @@ def effective_subsets(
                 seen.add(cand)
                 if any(cand - {h} not in level for h in cand):
                     continue
-                s = bits.score(cand, target_mask)
+                s = score(cand)
                 if s[0] + s[1] >= tau:
                     nxt[cand] = s
         level = nxt

@@ -298,6 +298,23 @@ def test_report_and_explain_reject_unknown_domains(corpus_dir, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_explain_validates_thresholds_as_report_does(corpus_dir, tmp_path, capsys):
+    csv = tmp_path / "measured.csv"
+    csv.write_text(
+        "source,target,auc_base,auc_hard,auc_soft\n"
+        "da,db,0.6,0.55,0.7\n"
+        "db,da,0.5,0.52,0.66\n"
+    )
+    base = [
+        "--corpus", str(corpus_dir), "--outdir", str(tmp_path / "o"),
+        "--auc-csv", str(csv), "--alpha", "2",
+    ]
+    capsys.readouterr()
+    for argv in (["report"], ["explain", "--evidence", "d_obs"]):
+        assert main(argv + base) == 2
+        assert "alpha must be in (0, 1), got 2.0" in capsys.readouterr().err
+
+
 def test_fti_ingests_measured_aucs(corpus_dir, tmp_path, capsys):
     csv = tmp_path / "measured.csv"
     csv.write_text(

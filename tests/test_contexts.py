@@ -18,7 +18,12 @@ from transferlens.contexts import (
     sync_clusters,
 )
 from transferlens.errors import DataError
-from transferlens.evidence import CoreContext, EvidenceResult, EvidenceSpace
+from transferlens.evidence import (
+    CoreContext,
+    EvidenceResult,
+    EvidenceSpace,
+    ParticularNarrator,
+)
 from transferlens.reasoner import Entailment
 
 
@@ -55,6 +60,11 @@ def synth_space(seed, n_domains=5, n_atoms=8, p=0.6, **kw):
     return space, clusters
 
 
+def direct_membership(space, atoms):
+    """Which domains' closures hold every atom, computed without masks."""
+    return np.array([atoms <= c for c in space.closures], dtype=bool)
+
+
 def exhaustive_contexts(space, clusters, max_dim):
     """Reference enumeration: score every subset directly, no pruning."""
     out = {}
@@ -62,7 +72,7 @@ def exhaustive_contexts(space, clusters, max_dim):
         for combo in itertools.combinations(clusters.universe, k):
             atoms = frozenset(combo)
             out[atoms] = space.score_membership(
-                CoreContext(atoms), space.membership(atoms)
+                CoreContext(atoms), direct_membership(space, atoms)
             )
     return out
 
@@ -246,6 +256,37 @@ def test_early_stop_prunes_but_never_lies():
     )
 
 
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_each_domain_mask_is_scored_once(seed):
+    space, clusters = synth_space(seed)
+    calls = []
+    kernel = space.score_membership
+
+    def counting(evidence, member):
+        calls.append(member.tobytes())
+        return kernel(evidence, member)
+
+    space.score_membership = counting
+    cfg = SearchConfig(max_dim=3, early_stop=False)
+    scan = CoreContextScan(space, clusters, cfg).run()
+    distinct = {
+        tuple(frozenset(combo) <= c for c in space.closures)
+        for k in range(1, cfg.max_dim + 1)
+        for combo in itertools.combinations(clusters.reps, k)
+    }
+    assert scan.stats.evaluated > len(distinct)
+    assert len(calls) == len(set(calls)) == len(distinct)
+    # narrators and lookups after the scan reuse the stored masks
+    for g in clusters.universe:
+        space.score(ParticularNarrator(g))
+    rng = np.random.default_rng(seed)
+    universe = list(clusters.universe)
+    for _ in range(50):
+        k = int(rng.integers(2, cfg.max_dim + 1))
+        scan.lookup(universe[i] for i in rng.choice(len(universe), size=k, replace=False))
+    assert len(calls) == len(distinct)
+
+
 # -- expansion counting ----------------------------------------------------------
 
 
@@ -287,7 +328,7 @@ def test_lookup_matches_direct_scoring_even_when_pruned():
         atoms = frozenset(rng.choice(len(universe), size=k, replace=False))
         atoms = frozenset(universe[i] for i in atoms)
         got = scan.lookup(atoms)
-        want = space.score_membership(CoreContext(atoms), space.membership(atoms))
+        want = space.score_membership(CoreContext(atoms), direct_membership(space, atoms))
         assert _result_key(got) == _result_key(want)
         assert got.evidence.entailments == atoms
 

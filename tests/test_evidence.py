@@ -203,10 +203,9 @@ def test_space_pairs_cover_all_ordered_pairs():
 def test_membership_vector():
     domains, fti, space = _space()
     k1 = Entailment.parse("K1(d)")
-    assert space.membership([k1]).tolist() == [True, False, True, False]
-    assert space.membership(
-        [k1, Entailment.parse("K2(d)")]
-    ).tolist() == [False, False, True, False]
+    # bit i is domain i: K1 holds in d1 and d3, K1 and K2 together only in d3
+    assert space.membership([k1]) == 0b0101
+    assert space.membership([k1, Entailment.parse("K2(d)")]) == 0b0100
 
 
 def test_narrator_scoring_matches_hand_computation():
@@ -303,6 +302,9 @@ def test_space_build_validation():
         EvidenceSpace.build([domains[0], domains[0]], fti)
     with pytest.raises(DataError, match="no ordered pair"):
         EvidenceSpace.build(domains, {("x", "y"): 0.1})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DataError, match="transfer index of d2->d3 is not finite"):
+            EvidenceSpace.build(domains, {**fti, ("d2", "d3"): bad})
     # partial coverage shrinks the pair list instead of failing
     partial = {("d1", "d2"): 0.1, ("d2", "d1"): -0.1, ("d1", "d3"): 0.2}
     space = EvidenceSpace.build(domains, partial)
