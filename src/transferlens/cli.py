@@ -14,8 +14,9 @@ isolation:
 
 Each stage that reads ``--corpus`` attaches the axioms an earlier
 ``import-external`` left in the outdir, except ``mine-roots`` and
-``import-external``, which start from the bare corpus.  ``fti --auc-csv``
-and ``selftest`` read no corpus.
+``import-external``, which start from the bare corpus.  ``import-external``
+mines its roots itself with its own config, so ``roots/`` is output only.
+``fti --auc-csv`` and ``selftest`` read no corpus.
 
 Exit codes: 0 success, 1 usage errors, 2 data errors.  Tuning values come
 from flags first, then a ``key = value`` config file, then defaults; the
@@ -258,11 +259,8 @@ def cmd_import_external(args, cfg: PipelineConfig, outdir: Path) -> int:
     mapping = _make_mapping(args, corpus)
     params = _sub_config(cfg, MiningParams)
     for d in corpus.domains:
-        inds_file = outdir / "roots" / f"{d.id}.inds"
-        if inds_file.exists():
-            roots = [x for x in inds_file.read_text().split() if x]
-        else:
-            roots = list(mine_roots(d, params).root_individuals)
+        # mined with this stage's config: roots/ may hold another config's roots
+        roots = list(mine_roots(d, params).root_individuals)
         axioms, audit = import_external(
             d, roots, adapter, mapping, constraints=corpus.constraints
         )

@@ -39,6 +39,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_dim < 2:
             raise DataError(f"max_dim must be at least 2, got {self.max_dim}")
+        if not 0.0 <= self.epsilon <= 1.0:  # NaN fails this test too
+            raise DataError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if not 0.0 < self.alpha < 1.0:
             raise DataError(f"alpha must be in (0, 1), got {self.alpha}")
 

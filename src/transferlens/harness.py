@@ -4,7 +4,9 @@ For an ordered pair of domains (source, destination) three classifiers are
 trained on the destination's training split: ``base`` from scratch,
 ``hard`` reusing the source model's feature block frozen with a fresh head,
 and ``soft`` starting from the full source model with everything trainable.
-Their test AUCs yield the transfer indices:
+Each AUC is the mean over an ensemble of seeds ``cfg.seed + k``, and the
+seed-k source model starts the seed-k hard and soft fits.  The test AUCs
+yield the transfer indices:
 
     fsi = auc_base - auc_hard     feature-shift index
     fgi = auc_soft - auc_base     fine-tuning gain index
@@ -13,6 +15,11 @@ Their test AUCs yield the transfer indices:
 Positive fti means the source helps the destination; negative means it
 hurts.  The matrix over all ordered pairs feeds the evidence engine, either
 computed here or ingested from a CSV of previously measured AUCs.
+
+``_ensemble`` trains a domain's models, and ``_record`` builds every
+record from a source ensemble and a destination baseline: ``fti_matrix``
+trains each domain's ensemble once for all its pairs, ``evaluate_pair``
+trains both afresh as the reference.
 """
 
 from __future__ import annotations
@@ -49,8 +56,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.hidden < 1 or self.epochs < 1 or self.batch_size < 1:
             raise DataError("hidden, epochs and batch_size must be positive")
-        if self.lr <= 0:
-            raise DataError(f"learning rate must be positive, got {self.lr}")
+        if not 0.0 < self.lr < np.inf:  # NaN fails this test too
+            raise DataError(f"learning rate must be positive and finite, got {self.lr}")
         if self.ensemble < 1:
             raise DataError(f"ensemble must be positive, got {self.ensemble}")
 
@@ -65,12 +72,6 @@ class Model:
     b1: np.ndarray
     w2: np.ndarray
     b2: float
-
-    def copy(self) -> "Model":
-        return Model(
-            self.mu.copy(), self.sigma.copy(),
-            self.w1.copy(), self.b1.copy(), self.w2.copy(), float(self.b2),
-        )
 
 
 def _check_classes(y: np.ndarray, what: str) -> None:
@@ -164,6 +165,8 @@ def transfer(
     it on the new split, otherwise features constant within the source
     domain turn into huge offsets here and saturate the network.
     """
+    if mode not in ("hard", "soft"):
+        raise DataError(f"unknown transfer mode {mode!r} (expected hard or soft)")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_classes(y, "training split")
@@ -173,14 +176,13 @@ def transfer(
             f"({source.w1.shape[0]}); encode both domains over one vocabulary"
         )
     rng = np.random.default_rng(seed)
-    model = source.copy()
-    model.mu, model.sigma = _standardize_params(x)
     if mode == "hard":
-        model.w2, model.b2 = _fresh_head(cfg.hidden, rng)
-        return _fit(model, x, y, cfg, rng, train_features=False)
-    if mode == "soft":
-        return _fit(model, x, y, cfg, rng, train_features=True)
-    raise DataError(f"unknown transfer mode {mode!r} (expected hard or soft)")
+        w2, b2 = _fresh_head(cfg.hidden, rng)
+    else:
+        w2, b2 = source.w2.copy(), float(source.b2)
+    mu, sigma = _standardize_params(x)
+    model = Model(mu, sigma, source.w1.copy(), source.b1.copy(), w2, b2)
+    return _fit(model, x, y, cfg, rng, train_features=mode == "soft")
 
 
 def auc(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -190,6 +192,8 @@ def auc(labels: np.ndarray, scores: np.ndarray) -> float:
     if labels.shape != scores.shape:
         raise DataError("labels and scores must have the same length")
     _check_classes(labels, "evaluation split")
+    if not np.isfinite(scores).all():
+        raise DataError("scores must be finite; a diverged model gives NaN, try a smaller lr")
     from scipy.stats import rankdata
 
     ranks = rankdata(scores)
@@ -265,29 +269,41 @@ def prepare_datasets(
     return out
 
 
+def _ensemble(ds: DomainDataset, cfg: TrainConfig) -> list[Model]:
+    """One model per ensemble seed ``cfg.seed + k``, fit on the training split."""
+    x, y = ds.x[ds.train], ds.y[ds.train]
+    return [train_within(x, y, cfg, cfg.seed + k) for k in range(cfg.ensemble)]
+
+
+def _mean_auc(models: list[Model], ds: DomainDataset) -> float:
+    """Mean test-split AUC of ``models`` on ``ds``."""
+    xt, yt = ds.x[ds.test], ds.y[ds.test]
+    return float(np.mean([auc(yt, predict_proba(m, xt)) for m in models]))
+
+
+def _record(
+    src_id: str,
+    src_models: list[Model],
+    dst: DomainDataset,
+    auc_base: float,
+    cfg: TrainConfig,
+) -> TransferRecord:
+    """The record of one ordered pair: the seed-k source model is adapted to
+    ``dst`` at seed ``cfg.seed + k`` in each mode, and each mode averaged."""
+    xd, yd = dst.x[dst.train], dst.y[dst.train]
+    hard, soft = (
+        [transfer(m, xd, yd, cfg, cfg.seed + k, mode) for k, m in enumerate(src_models)]
+        for mode in ("hard", "soft")
+    )
+    return TransferRecord(src_id, dst.id, auc_base, _mean_auc(hard, dst), _mean_auc(soft, dst))
+
+
 def evaluate_pair(
     src: DomainDataset, dst: DomainDataset, cfg: TrainConfig
 ) -> TransferRecord:
-    """Ensemble-averaged AUCs for one ordered source/destination pair."""
-    base, hard, soft = [], [], []
-    xd, yd = dst.x[dst.train], dst.y[dst.train]
-    for k in range(cfg.ensemble):
-        seed = cfg.seed + k
-        src_model = train_within(src.x[src.train], src.y[src.train], cfg, seed)
-        m_base = train_within(xd, yd, cfg, seed)
-        m_hard = transfer(src_model, xd, yd, cfg, seed, mode="hard")
-        m_soft = transfer(src_model, xd, yd, cfg, seed, mode="soft")
-        yt = dst.y[dst.test]
-        base.append(auc(yt, predict_proba(m_base, dst.x[dst.test])))
-        hard.append(auc(yt, predict_proba(m_hard, dst.x[dst.test])))
-        soft.append(auc(yt, predict_proba(m_soft, dst.x[dst.test])))
-    return TransferRecord(
-        source=src.id,
-        target=dst.id,
-        auc_base=float(np.mean(base)),
-        auc_hard=float(np.mean(hard)),
-        auc_soft=float(np.mean(soft)),
-    )
+    """Ensemble-averaged AUCs for one ordered pair, every model trained afresh."""
+    auc_base = _mean_auc(_ensemble(dst, cfg), dst)
+    return _record(src.id, _ensemble(src, cfg), dst, auc_base, cfg)
 
 
 def fti_matrix(
@@ -298,48 +314,21 @@ def fti_matrix(
 ) -> tuple[list[TransferRecord], dict[tuple[str, str], float]]:
     """Transfer records and the fti cache over all usable ordered pairs.
 
-    Source models and destination baselines depend only on one domain and
-    the seed, so they are trained once and shared across pairs; the result
-    matches evaluating every pair independently.
+    A domain's ensemble depends only on the domain and the seeds, so it is
+    trained once and serves both as the source models of every pair out of
+    the domain and as the baseline of every pair into it; the result
+    matches ``evaluate_pair`` on every pair.
     """
     check_weights(omega1, omega2)
     datasets = prepare_datasets(domains, cfg)
-    seeds = [cfg.seed + k for k in range(cfg.ensemble)]
-    src_models = {
-        (d.id, s): train_within(d.x[d.train], d.y[d.train], cfg, s)
-        for d in datasets
-        for s in seeds
-    }
-    base_aucs = {
-        (d.id, s): auc(
-            d.y[d.test], predict_proba(src_models[(d.id, s)], d.x[d.test])
-        )
-        for d in datasets
-        for s in seeds
-    }
-    records = []
-    for src in datasets:
-        for dst in datasets:
-            if src.id == dst.id:
-                continue
-            hard, soft = [], []
-            xd, yd = dst.x[dst.train], dst.y[dst.train]
-            yt = dst.y[dst.test]
-            for s in seeds:
-                m = src_models[(src.id, s)]
-                m_hard = transfer(m, xd, yd, cfg, s, mode="hard")
-                m_soft = transfer(m, xd, yd, cfg, s, mode="soft")
-                hard.append(auc(yt, predict_proba(m_hard, dst.x[dst.test])))
-                soft.append(auc(yt, predict_proba(m_soft, dst.x[dst.test])))
-            records.append(
-                TransferRecord(
-                    source=src.id,
-                    target=dst.id,
-                    auc_base=float(np.mean([base_aucs[(dst.id, s)] for s in seeds])),
-                    auc_hard=float(np.mean(hard)),
-                    auc_soft=float(np.mean(soft)),
-                )
-            )
+    ensembles = [_ensemble(d, cfg) for d in datasets]
+    bases = [_mean_auc(models, d) for models, d in zip(ensembles, datasets)]
+    records = [
+        _record(src.id, src_models, dst, auc_base, cfg)
+        for src, src_models in zip(datasets, ensembles)
+        for dst, auc_base in zip(datasets, bases)
+        if dst.id != src.id
+    ]
     return records, fti_from_records(records, omega1, omega2)
 
 

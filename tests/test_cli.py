@@ -282,6 +282,17 @@ def test_rerun_of_roots_and_import_is_stable(tmp_path):
     assert artifacts() == first
 
 
+def test_import_external_mines_roots_with_its_own_config(tmp_path):
+    # roots/ left by mine-roots at another sigma must not reach the import
+    stale, fresh = tmp_path / "stale", tmp_path / "fresh"
+    corpus = ["--corpus", str(MINI_FLIGHTS)]
+    assert main(["mine-roots", *corpus, "--outdir", str(stale), "--sigma", "0.3", "--tau", "0.2"]) == 0
+    assert main(["import-external", *corpus, "--outdir", str(stale)]) == 0
+    assert main(["import-external", *corpus, "--outdir", str(fresh)]) == 0
+    for f in sorted((fresh / "external").iterdir()):
+        assert (stale / "external" / f.name).read_bytes() == f.read_bytes(), f.name
+
+
 def test_report_and_explain_reject_unknown_domains(corpus_dir, tmp_path, capsys):
     csv = tmp_path / "measured.csv"
     csv.write_text(
@@ -307,12 +318,16 @@ def test_explain_validates_thresholds_as_report_does(corpus_dir, tmp_path, capsy
     )
     base = [
         "--corpus", str(corpus_dir), "--outdir", str(tmp_path / "o"),
-        "--auc-csv", str(csv), "--alpha", "2",
+        "--auc-csv", str(csv),
     ]
     capsys.readouterr()
-    for argv in (["report"], ["explain", "--evidence", "d_obs"]):
-        assert main(argv + base) == 2
-        assert "alpha must be in (0, 1), got 2.0" in capsys.readouterr().err
+    for flag, message in (
+        (["--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
+        (["--epsilon", "nan"], "epsilon must be in [0, 1], got nan"),
+    ):
+        for argv in (["report"], ["explain", "--evidence", "d_obs"]):
+            assert main(argv + base + flag) == 2
+            assert message in capsys.readouterr().err
 
 
 def test_fti_ingests_measured_aucs(corpus_dir, tmp_path, capsys):
@@ -374,6 +389,15 @@ def test_fti_rejects_a_nan_auc(corpus_dir, tmp_path, capsys):
     )
     assert code == 2
     assert f"{csv}:3:" in capsys.readouterr().err
+    assert not (out / "fti").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
+def test_fti_rejects_a_divergent_learning_rate(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    args = ["--corpus", str(corpus_dir), "--outdir", str(out)]
+    assert main(["fti", *args, "--epochs", "3", "--ensemble", "1", "--lr", "1e300"]) == 2
+    assert "scores must be finite" in capsys.readouterr().err
     assert not (out / "fti").exists()
 
 

@@ -352,6 +352,11 @@ def test_search_config_validation():
         SearchConfig(alpha=0.0)
     with pytest.raises(DataError, match="alpha"):
         SearchConfig(alpha=1.0)
+    for epsilon in (-0.1, 1.5, float("nan")):
+        with pytest.raises(DataError, match=r"epsilon must be in \[0, 1\]"):
+            SearchConfig(epsilon=epsilon)
+    SearchConfig(epsilon=0.0)
+    SearchConfig(epsilon=1.0)
 
 
 def test_core_context_search_on_real_domains():

@@ -7,6 +7,7 @@ import pytest
 
 from domfix import make_domain
 from oracles import auc_by_pairs
+from transferlens import harness
 from transferlens.errors import DataError
 from transferlens.harness import (
     DomainDataset,
@@ -78,6 +79,9 @@ def test_auc_extremes():
         auc([1, 1], [0.1, 0.2])
     with pytest.raises(DataError, match="same length"):
         auc([0, 1], [0.1, 0.2, 0.3])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError, match="scores must be finite"):
+            auc([0, 1, 1], [0.1, bad, 0.9])
 
 
 # -- indices --------------------------------------------------------------------
@@ -123,8 +127,9 @@ def test_weight_validation():
 def test_train_config_validation():
     with pytest.raises(DataError):
         TrainConfig(epochs=0)
-    with pytest.raises(DataError):
-        TrainConfig(lr=0.0)
+    for lr in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(DataError, match="learning rate"):
+            TrainConfig(lr=lr)
     with pytest.raises(DataError):
         TrainConfig(ensemble=0)
 
@@ -229,6 +234,31 @@ def test_matrix_matches_independent_pair_evaluation():
             ref.auc_soft,
         ), (r.source, r.target)
         assert fti[(r.source, r.target)] == r.fti(1.0, 1.0)
+
+
+def test_matrix_trains_each_ensemble_once_and_transfers_it_per_seed(monkeypatch):
+    trained, transfers = [], []
+    real_train, real_transfer = harness.train_within, harness.transfer
+
+    def train_spy(x, y, cfg, seed):
+        model = real_train(x, y, cfg, seed)
+        trained.append((model, seed))  # holding the model keeps its id unique
+        return model
+
+    def transfer_spy(source, x, y, cfg, seed, mode):
+        transfers.append((id(source), seed, mode))
+        return real_transfer(source, x, y, cfg, seed, mode)
+
+    monkeypatch.setattr(harness, "train_within", train_spy)
+    monkeypatch.setattr(harness, "transfer", transfer_spy)
+    fti_matrix(_domains(), FAST)
+    n_domains, n_seeds = 3, FAST.ensemble
+    assert len(trained) == n_domains * n_seeds == 6
+    assert len(transfers) == 2 * n_domains * (n_domains - 1) * n_seeds == 24
+    seed_of = {id(model): seed for model, seed in trained}
+    assert sorted(seed_of.values()) == [0, 0, 0, 1, 1, 1]
+    for source, seed, _ in transfers:
+        assert seed_of[source] == seed
 
 
 def test_fti_from_records_applies_weights():
