@@ -10,10 +10,12 @@ scores each distinct mask once.  On top of that, extension of a scored
 context stops early when its significance is hopeless, since adding
 entailments only shrinks the evidence domains.
 
-The scan's result store is representative-level.  ``iter_contexts`` expands
-it to concrete contexts (for small universes and tests), ``rep_results``
-streams the compact form with exact cover counts, and ``lookup`` answers for
-any specific context, including one the search pruned.
+The scan's result store holds, per scanned cluster set, the evidence
+space's shared result for its mask; contexts are attached on the way out.
+``iter_contexts`` expands the store to concrete contexts (for small
+universes and tests), ``rep_results`` streams one representative context
+per set with its exact cover count, and ``lookup`` answers for any specific
+context, including one the search pruned.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, replace
 
 from .domain import LearningDomain, membership_masks
 from .errors import DataError
-from .evidence import CoreContext, EvidenceResult, EvidenceSpace
+from .evidence import CoreContext, EvidenceResult, EvidenceSpace, check_thresholds
 from .reasoner import Entailment
 
 
@@ -39,10 +41,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_dim < 2:
             raise DataError(f"max_dim must be at least 2, got {self.max_dim}")
-        if not 0.0 <= self.epsilon <= 1.0:  # NaN fails this test too
-            raise DataError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if not 0.0 < self.alpha < 1.0:
-            raise DataError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_thresholds(self.epsilon, self.alpha)
 
 
 @dataclass
@@ -149,6 +148,7 @@ class CoreContextScan:
         self.cfg = cfg
         self.results: dict[frozenset[int], EvidenceResult] = {}
         self.stats = SearchStats()
+        self._covers: dict[tuple[int, ...], int] = {}
         self._ran = False
 
     # -- search ------------------------------------------------------------
@@ -165,26 +165,17 @@ class CoreContextScan:
             math.comb(u, k) for k in range(2, self.cfg.max_dim + 1)
         )
         for i in range(n):
-            mask = self.clusters.masks[i]
-            self._walk((i,), mask, self._evaluate((i,), mask))
-        for key, res in self.results.items():
-            cover = self._expansion_count(key)
-            self.stats.covered += cover
-            self.stats.inherited += cover - (1 if len(key) >= 2 else 0)
-            if res.valid:
-                self.stats.valid += cover
+            self._walk((i,), self.clusters.masks[i])
         return self
 
-    def _evaluate(self, idxs: tuple[int, ...], mask: int) -> EvidenceResult:
-        evidence = CoreContext(
-            frozenset(self.clusters.clusters[i][0] for i in idxs)
-        )
-        res = self.space.score_mask(evidence, mask)
-        self.results[frozenset(idxs)] = res
+    def _walk(self, idxs: tuple[int, ...], mask: int) -> None:
+        res = self.results[frozenset(idxs)] = self.space.score_mask(mask)
+        cover = self._cover(idxs)
         self.stats.evaluated += 1
-        return res
-
-    def _walk(self, idxs: tuple[int, ...], mask: int, res: EvidenceResult) -> None:
+        self.stats.covered += cover
+        self.stats.inherited += cover - (1 if len(idxs) >= 2 else 0)
+        if res.valid:
+            self.stats.valid += cover
         if len(idxs) >= self.cfg.max_dim:
             return
         if self.cfg.early_stop and len(idxs) >= 2 and early_stop(res, self.cfg.alpha):
@@ -194,21 +185,26 @@ class CoreContextScan:
             child_mask = mask & self.clusters.masks[nxt]
             # evidence domains can only shrink along an extension
             assert not child_mask & ~mask, "evidence-domain growth"
-            child = idxs + (nxt,)
-            self._walk(child, child_mask, self._evaluate(child, child_mask))
+            self._walk(idxs + (nxt,), child_mask)
 
     # -- result access -----------------------------------------------------
 
-    def _expansion_count(self, key: frozenset[int]) -> int:
-        sizes = [len(self.clusters.clusters[i]) for i in sorted(key)]
-        return _count_expansions(sizes, max(2, len(sizes)), self.cfg.max_dim)
+    def _cover(self, idxs) -> int:
+        """Concrete contexts a cluster set covers; depends only on its sizes."""
+        sizes = tuple(sorted(len(self.clusters.clusters[i]) for i in idxs))
+        cover = self._covers.get(sizes)
+        if cover is None:
+            lo, hi = max(2, len(sizes)), self.cfg.max_dim
+            cover = self._covers[sizes] = _count_expansions(list(sizes), lo, hi)
+        return cover
 
     def rep_results(self):
         """(representative context, result, exact covered-context count)."""
         self.run()
+        reps = self.clusters.reps
         for key in sorted(self.results, key=sorted):
-            res = self.results[key]
-            yield res.evidence, res, self._expansion_count(key)
+            context = CoreContext(frozenset(reps[i] for i in key))
+            yield context, replace(self.results[key], evidence=context), self._cover(key)
 
     def iter_contexts(self):
         """Every covered concrete context with its (inherited) result.

@@ -165,12 +165,20 @@ Evidence = GeneralFactor | ParticularNarrator | CoreContext
 
 @dataclass(frozen=True)
 class EvidenceResult:
-    evidence: Evidence
+    evidence: Evidence | None  # None on the shared per-mask result of a space
     gamma: float | None
     rho: float | None
     n: int
     valid: bool
     reason: str | None = None
+
+
+def check_thresholds(epsilon: float, alpha: float) -> None:
+    """Validity thresholds: epsilon in [0, 1], alpha in (0, 1); NaN fails both."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise DataError(f"epsilon must be in [0, 1], got {epsilon}")
+    if not 0.0 < alpha < 1.0:
+        raise DataError(f"alpha must be in (0, 1), got {alpha}")
 
 
 @dataclass
@@ -191,6 +199,7 @@ class EvidenceSpace:
     n_min: int
 
     def __post_init__(self):
+        check_thresholds(self.epsilon, self.alpha)
         self.masks: dict[Entailment, int] = membership_masks(self.closures)
         self._scored: dict[int, EvidenceResult] = {}
 
@@ -253,7 +262,7 @@ class EvidenceSpace:
         valid = abs(gamma) >= self.epsilon and rho <= self.alpha
         return gamma, rho, None, valid
 
-    def score_membership(self, evidence: Evidence, member: np.ndarray) -> EvidenceResult:
+    def score_membership(self, evidence: Evidence | None, member: np.ndarray) -> EvidenceResult:
         """Score directed co-existence evidence given its domain membership."""
         if not member.any():
             return EvidenceResult(evidence, None, None, 0, False, "no-evidence-domains")
@@ -275,13 +284,13 @@ class EvidenceSpace:
         gamma, rho, reason, valid = self.correlate(v_e, self.fti_vec, n)
         return EvidenceResult(evidence, gamma, rho, n, valid, reason)
 
-    def score_mask(self, evidence: Evidence, mask: int) -> EvidenceResult:
-        """Score directed co-existence evidence by its domain mask, memoized."""
+    def score_mask(self, mask: int) -> EvidenceResult:
+        """The stored result of a domain mask, scored once per space; evidence None."""
         stored = self._scored.get(mask)
         if stored is None:
             member = np.array([mask >> i & 1 for i in range(len(self.ids))], dtype=bool)
-            stored = self._scored[mask] = self.score_membership(evidence, member)
-        return replace(stored, evidence=evidence)
+            stored = self._scored[mask] = self.score_membership(None, member)
+        return stored
 
     def score(self, evidence: Evidence) -> EvidenceResult:
         if isinstance(evidence, GeneralFactor):
@@ -290,7 +299,7 @@ class EvidenceSpace:
             atoms = (evidence.entailment,)
         else:
             atoms = evidence.entailments
-        return self.score_mask(evidence, self.membership(atoms))
+        return replace(self.score_mask(self.membership(atoms)), evidence=evidence)
 
 
 _FIELD = {

@@ -60,6 +60,10 @@ class TrainConfig:
             raise DataError(f"learning rate must be positive and finite, got {self.lr}")
         if self.ensemble < 1:
             raise DataError(f"ensemble must be positive, got {self.ensemble}")
+        if not 0.0 < self.train_frac < 1.0:  # NaN fails this test too
+            raise DataError(f"train_frac must be in (0, 1), got {self.train_frac}")
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

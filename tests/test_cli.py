@@ -401,6 +401,16 @@ def test_fti_rejects_a_divergent_learning_rate(corpus_dir, tmp_path, capsys):
     assert not (out / "fti").exists()
 
 
+def test_fti_rejects_a_train_fraction_outside_the_unit_interval(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    args = ["--corpus", str(corpus_dir), "--outdir", str(out)]
+    assert main(["fti", *args, "--train-frac", "1.5"]) == 2
+    err = capsys.readouterr().err
+    assert "train_frac must be in (0, 1), got 1.5" in err
+    assert "skipping domain" not in err
+    assert not (out / "fti").exists()
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     assert "ok" in capsys.readouterr().out.lower()

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from domfix import atom_domain
+from transferlens import contexts
 from transferlens.contexts import (
     CoreContextScan,
     SearchConfig,
@@ -313,6 +316,45 @@ def test_rep_results_cover_counts_sum_to_covered():
     space, clusters = synth_space(7)
     scan = CoreContextScan(space, clusters, SearchConfig(max_dim=3, early_stop=False)).run()
     assert sum(c for _, _, c in scan.rep_results()) == scan.stats.covered
+    # each yielded result carries its own representative context
+    rep_sets = {frozenset(clusters.reps[i] for i in key) for key in scan.results}
+    yielded = []
+    for context, res, _ in scan.rep_results():
+        assert res.evidence is context
+        assert context.entailments in rep_sets
+        yielded.append(context.entailments)
+    assert len(yielded) == len(set(yielded)) == len(rep_sets)
+
+
+def test_scan_stores_one_shared_result_per_domain_mask():
+    space, clusters = synth_space(3)
+    scan = CoreContextScan(space, clusters, SearchConfig(max_dim=4, early_stop=False)).run()
+    masks = {
+        functools.reduce(operator.and_, (clusters.masks[i] for i in key))
+        for key in scan.results
+    }
+    assert len(masks) < len(scan.results)
+    assert len({id(res) for res in scan.results.values()}) == len(masks)
+    assert all(res.evidence is None for res in scan.results.values())
+
+
+def test_cover_is_counted_once_per_cluster_size_profile(monkeypatch):
+    calls = []
+    kernel = contexts._count_expansions
+
+    def counting(sizes, lo, hi):
+        calls.append(tuple(sizes))
+        return kernel(sizes, lo, hi)
+
+    monkeypatch.setattr(contexts, "_count_expansions", counting)
+    # few domains, many atoms: clusters of several sizes
+    space, clusters = synth_space(2, n_domains=3, n_atoms=9)
+    scan = CoreContextScan(space, clusters, SearchConfig(max_dim=4, early_stop=False)).run()
+    covers = [c for _, _, c in scan.rep_results()]
+    profiles = {tuple(sorted(len(clusters.clusters[i]) for i in key)) for key in scan.results}
+    assert len(profiles) < len(scan.results)
+    assert sorted(calls) == sorted(profiles)
+    assert sum(covers) == scan.stats.covered == scan.stats.enumerable
 
 
 # -- lookup -----------------------------------------------------------------------

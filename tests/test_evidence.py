@@ -275,14 +275,21 @@ def test_validity_thresholds():
     assert res.rho == 0.0
     assert res.valid
 
-    # same signal but epsilon above |gamma| fails the strength gate
+    # a nudged, still significant signal with epsilon above |gamma| fails the
+    # strength gate; an epsilon above 1 is rejected as no threshold at all
+    nudged = {(s, t): v + (0.1 if s == "d1" else 0.0) for (s, t), v in rigged.items()}
     res2 = correlative_reason(
         domains,
         ParticularNarrator(Entailment.parse("K1(d)")),
-        rigged,
-        epsilon=1.01,
+        nudged,
+        epsilon=1.0,
     )
+    assert 0.99 < res2.gamma < 1.0 and res2.rho <= 0.05
     assert not res2.valid and res2.reason is None
+    with pytest.raises(DataError, match=r"epsilon must be in \[0, 1\]"):
+        correlative_reason(
+            domains, ParticularNarrator(Entailment.parse("K1(d)")), rigged, epsilon=1.01
+        )
 
 
 def test_context_evidence_uses_joint_membership():
@@ -305,6 +312,15 @@ def test_space_build_validation():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(DataError, match="transfer index of d2->d3 is not finite"):
             EvidenceSpace.build(domains, {**fti, ("d2", "d3"): bad})
+    for bad in (float("nan"), -1.0, 7.0):
+        with pytest.raises(DataError, match=r"epsilon must be in \[0, 1\]"):
+            EvidenceSpace.build(domains, fti, epsilon=bad)
+        with pytest.raises(DataError, match=r"alpha must be in \(0, 1\)"):
+            EvidenceSpace.build(domains, fti, alpha=bad)
+        with pytest.raises(DataError, match="epsilon"):
+            correlative_reason(domains, GeneralFactor.parse("d_obs"), fti, epsilon=bad)
+        with pytest.raises(DataError, match="alpha"):
+            correlative_reason(domains, GeneralFactor.parse("d_obs"), fti, alpha=bad)
     # partial coverage shrinks the pair list instead of failing
     partial = {("d1", "d2"): 0.1, ("d2", "d1"): -0.1, ("d1", "d3"): 0.2}
     space = EvidenceSpace.build(domains, partial)

@@ -132,6 +132,12 @@ def test_train_config_validation():
             TrainConfig(lr=lr)
     with pytest.raises(DataError):
         TrainConfig(ensemble=0)
+    for train_frac in (0.0, 1.0, 1.5, -0.2, np.nan):
+        with pytest.raises(DataError, match=r"train_frac must be in \(0, 1\)"):
+            TrainConfig(train_frac=train_frac)
+    with pytest.raises(DataError, match="seed must be non-negative"):
+        TrainConfig(seed=-1)
+    TrainConfig(seed=0, train_frac=0.5)
 
 
 # -- training --------------------------------------------------------------------
