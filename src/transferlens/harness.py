@@ -16,16 +16,21 @@ Positive fti means the source helps the destination; negative means it
 hurts.  The matrix over all ordered pairs feeds the evidence engine, either
 computed here or ingested from a CSV of previously measured AUCs.
 
-``_ensemble`` trains a domain's models, and ``_record`` builds every
-record from a source ensemble and a destination baseline: ``fti_matrix``
-trains each domain's ensemble once for all its pairs, ``evaluate_pair``
-trains both afresh as the reference.
+``_fit`` is the one trainer.  It steps a stack of S sources by E seeds in
+place, with one batched product per layer per minibatch, and each slot of
+the stack is bit-identical to the network fit alone.  ``fti_matrix`` fits
+each domain's ensemble as one ``train_within`` stack (S = 1) and each
+destination's hard or soft transfers as one ``transfer`` stack over all
+other domains' ensembles; ``evaluate_pair`` fits every model as its own
+one-model stack and is the reference the matrix must match.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +59,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # the stack shapes come from these, so a float or a bool must not
+        # get as far as numpy
+        for key in ("hidden", "epochs", "batch_size", "ensemble", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DataError(f"{key} must be an integer, got {value!r}")
         if self.hidden < 1 or self.epochs < 1 or self.batch_size < 1:
             raise DataError("hidden, epochs and batch_size must be positive")
         if not 0.0 < self.lr < np.inf:  # NaN fails this test too
@@ -68,14 +79,26 @@ class TrainConfig:
 
 @dataclass
 class Model:
-    """One-hidden-layer network with the input standardization it was fit under."""
+    """One-hidden-layer network with the input standardization it was fit under.
+
+    One network has ``w1`` (d, h), ``b1`` and ``w2`` (h,) and a float
+    ``b2``.  A stack of S sources by E seeds, all fit on one split and so
+    sharing ``mu`` and ``sigma``, puts those two axes first: ``w1`` is
+    (S, E, d, h), ``b1`` and ``w2`` are (S, E, h) and ``b2`` is (S, E).
+    """
 
     mu: np.ndarray
     sigma: np.ndarray
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
-    b2: float
+    b2: float | np.ndarray
+
+    def at(self, s: int, k: int) -> Model:
+        """Slot ``(s, k)`` of a stack as one network (views of its weights)."""
+        return Model(
+            self.mu, self.sigma, self.w1[s, k], self.b1[s, k], self.w2[s, k], float(self.b2[s, k])
+        )
 
 
 def _check_classes(y: np.ndarray, what: str) -> None:
@@ -83,41 +106,54 @@ def _check_classes(y: np.ndarray, what: str) -> None:
         raise DataError(f"{what} needs both classes present")
 
 
-def _forward(model: Model, x: np.ndarray):
-    xs = (x - model.mu) / model.sigma
-    z1 = xs @ model.w1 + model.b1
-    a1 = np.maximum(z1, 0.0)
-    return xs, z1, a1, expit(a1 @ model.w2 + model.b2)
-
-
 def predict_proba(model: Model, x: np.ndarray) -> np.ndarray:
-    return _forward(model, np.asarray(x, dtype=np.float64))[3]
+    """Class-1 probabilities of one network on the rows of ``x``."""
+    xs = (np.asarray(x, dtype=np.float64) - model.mu) / model.sigma
+    a1 = np.maximum(xs @ model.w1 + model.b1, 0.0)
+    return expit(a1 @ model.w2 + model.b2)
 
 
 def _fit(
-    model: Model,
+    stack: Model,
     x: np.ndarray,
     y: np.ndarray,
     cfg: TrainConfig,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     train_features: bool,
 ) -> Model:
+    """Minibatch SGD on a (S, E) stack, in place.
+
+    Seed k's generator draws the permutation of every epoch for slot
+    ``(s, k)`` of all S sources, so each minibatch is one ``(E, b, d)``
+    gather the sources share by broadcasting.  Every product is a batch of
+    the 2-D products one network alone would make, and every other step is
+    elementwise or a reduction along the same axis, so each slot is
+    bit-identical to fitting its network alone.
+    """
     n = len(y)
+    xs = (x - stack.mu) / stack.sigma
+    w1, b1, w2, b2 = stack.w1, stack.b1, stack.w2, stack.b2
+    gw1 = np.empty_like(w1) if train_features else None
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
+        order = np.stack([rng.permutation(n) for rng in rngs])
         for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            xs, z1, a1, p = _forward(model, x[idx])
-            dz2 = (p - y[idx]) / len(idx)
-            gw2 = a1.T @ dz2
-            gb2 = dz2.sum()
+            idx = order[:, lo : lo + cfg.batch_size]
+            xb = xs[idx]
+            z1 = xb @ w1 + b1[..., None, :]
+            a1 = np.maximum(z1, 0.0)
+            p = expit((a1 @ w2[..., None])[..., 0] + b2[..., None])
+            dz2 = (p - y[idx]) / idx.shape[1]
+            gw2 = (a1.swapaxes(-1, -2) @ dz2[..., None])[..., 0]
+            gb2 = dz2.sum(axis=-1)
             if train_features:
-                dz1 = np.outer(dz2, model.w2) * (z1 > 0)
-                model.w1 -= cfg.lr * (xs.T @ dz1)
-                model.b1 -= cfg.lr * dz1.sum(axis=0)
-            model.w2 -= cfg.lr * gw2
-            model.b2 -= cfg.lr * gb2
-    return model
+                dz1 = dz2[..., None] * w2[..., None, :] * (z1 > 0)
+                np.matmul(xb.swapaxes(-1, -2), dz1, out=gw1)
+                gw1 *= cfg.lr
+                w1 -= gw1
+                b1 -= cfg.lr * dz1.sum(axis=-2)
+            w2 -= cfg.lr * gw2
+            b2 -= cfg.lr * gb2
+    return stack
 
 
 def _standardize_params(x: np.ndarray):
@@ -127,66 +163,112 @@ def _standardize_params(x: np.ndarray):
     return mu, sigma
 
 
-def _fresh_head(d_hidden: int, rng: np.random.Generator):
-    return rng.normal(0.0, np.sqrt(1.0 / d_hidden), size=d_hidden), 0.0
+def _fresh_head(d_hidden: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.normal(0.0, np.sqrt(1.0 / d_hidden), size=d_hidden)
 
 
-def train_within(
-    x: np.ndarray, y: np.ndarray, cfg: TrainConfig, seed: int
-) -> Model:
-    """Fit a fresh model on one training split."""
+def _seeds(seed: int | Sequence[int]) -> tuple[list[int], bool]:
+    """The seeds of a fit, and whether ``seed`` asked for one network."""
+    if isinstance(seed, numbers.Integral):
+        return [seed], True
+    seeds = list(seed)
+    if not seeds:
+        raise DataError("a model stack needs at least one seed")
+    return seeds, False
+
+
+def _checked_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_classes(y, "training split")
-    rng = np.random.default_rng(seed)
+    return x, y
+
+
+def train_within(
+    x: np.ndarray, y: np.ndarray, cfg: TrainConfig, seed: int | Sequence[int]
+) -> Model:
+    """Fit fresh models on one training split.
+
+    An int ``seed`` gives one model.  A sequence of E seeds gives a (1, E)
+    stack whose slot ``(0, k)`` is the model of ``seed[k]`` alone.
+    """
+    x, y = _checked_xy(x, y)
+    seeds, one = _seeds(seed)
+    rngs = [np.random.default_rng(s) for s in seeds]
     d = x.shape[1]
+    heads = [_fresh_head(cfg.hidden, rng) for rng in rngs]
+    w1 = [rng.normal(0.0, np.sqrt(2.0 / max(d, 1)), size=(d, cfg.hidden)) for rng in rngs]
     mu, sigma = _standardize_params(x)
-    w2, b2 = _fresh_head(cfg.hidden, rng)
-    model = Model(
+    stack = Model(
         mu=mu,
         sigma=sigma,
-        w1=rng.normal(0.0, np.sqrt(2.0 / max(d, 1)), size=(d, cfg.hidden)),
-        b1=np.zeros(cfg.hidden),
-        w2=w2,
-        b2=b2,
+        w1=np.stack(w1)[None],
+        b1=np.zeros((1, len(seeds), cfg.hidden)),
+        w2=np.stack(heads)[None],
+        b2=np.zeros((1, len(seeds))),
     )
-    return _fit(model, x, y, cfg, rng, train_features=True)
+    _fit(stack, x, y, cfg, rngs, train_features=True)
+    return stack.at(0, 0) if one else stack
 
 
 def transfer(
-    source: Model,
+    source: Model | Sequence[Model],
     x: np.ndarray,
     y: np.ndarray,
     cfg: TrainConfig,
-    seed: int,
+    seed: int | Sequence[int],
     mode: str,
 ) -> Model:
-    """Adapt a source model to a new training split.
+    """Adapt source models to a new training split.
 
     ``hard`` keeps the source feature block frozen and fits only a fresh
     head; ``soft`` starts from the whole source model and fits everything.
     Input standardization is preprocessing, not weights: both modes refit
     it on the new split, otherwise features constant within the source
     domain turn into huge offsets here and saturate the network.
+
+    One ``source`` model with an int ``seed`` gives one model.  A list of S
+    stacks of E models with a sequence of E seeds gives a (S, E) stack
+    whose slot ``(s, k)`` is model k of ``source[s]`` adapted alone at
+    ``seed[k]``.
     """
     if mode not in ("hard", "soft"):
         raise DataError(f"unknown transfer mode {mode!r} (expected hard or soft)")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_classes(y, "training split")
-    if x.shape[1] != source.w1.shape[0]:
-        raise DataError(
-            f"feature width {x.shape[1]} does not match the source model "
-            f"({source.w1.shape[0]}); encode both domains over one vocabulary"
+    x, y = _checked_xy(x, y)
+    seeds, one = _seeds(seed)
+    sources = [source] if one else list(source)
+    if not sources:
+        raise DataError("transfer needs at least one source")
+    for src in sources:
+        if src.w1.ndim != (2 if one else 4) or (not one and src.w1.shape[1] != len(seeds)):
+            raise DataError(
+                "transfer takes one source model with one seed, or source stacks "
+                "of one model per seed with a sequence of seeds"
+            )
+        if x.shape[1] != src.w1.shape[-2]:
+            raise DataError(
+                f"feature width {x.shape[1]} does not match the source model "
+                f"({src.w1.shape[-2]}); encode both domains over one vocabulary"
+            )
+
+    def stacked(field: str, tail: tuple[int, ...]) -> np.ndarray:
+        return np.concatenate(
+            [np.reshape(getattr(src, field), (-1, len(seeds)) + tail) for src in sources]
         )
-    rng = np.random.default_rng(seed)
+
+    rngs = [np.random.default_rng(s) for s in seeds]
+    w1 = stacked("w1", sources[0].w1.shape[-2:])
+    b1 = stacked("b1", (w1.shape[-1],))
     if mode == "hard":
-        w2, b2 = _fresh_head(cfg.hidden, rng)
+        heads = np.stack([_fresh_head(cfg.hidden, rng) for rng in rngs])
+        w2 = np.repeat(heads[None], len(w1), axis=0)
+        b2 = np.zeros(w1.shape[:2])
     else:
-        w2, b2 = source.w2.copy(), float(source.b2)
+        w2 = stacked("w2", (w1.shape[-1],))
+        b2 = stacked("b2", ())
     mu, sigma = _standardize_params(x)
-    model = Model(mu, sigma, source.w1.copy(), source.b1.copy(), w2, b2)
-    return _fit(model, x, y, cfg, rng, train_features=mode == "soft")
+    stack = _fit(Model(mu, sigma, w1, b1, w2, b2), x, y, cfg, rngs, mode == "soft")
+    return stack.at(0, 0) if one else stack
 
 
 def auc(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -273,10 +355,12 @@ def prepare_datasets(
     return out
 
 
-def _ensemble(ds: DomainDataset, cfg: TrainConfig) -> list[Model]:
-    """One model per ensemble seed ``cfg.seed + k``, fit on the training split."""
-    x, y = ds.x[ds.train], ds.y[ds.train]
-    return [train_within(x, y, cfg, cfg.seed + k) for k in range(cfg.ensemble)]
+def _seed_list(cfg: TrainConfig) -> list[int]:
+    return [cfg.seed + k for k in range(cfg.ensemble)]
+
+
+def _train_split(ds: DomainDataset) -> tuple[np.ndarray, np.ndarray]:
+    return ds.x[ds.train], ds.y[ds.train]
 
 
 def _mean_auc(models: list[Model], ds: DomainDataset) -> float:
@@ -285,29 +369,32 @@ def _mean_auc(models: list[Model], ds: DomainDataset) -> float:
     return float(np.mean([auc(yt, predict_proba(m, xt)) for m in models]))
 
 
-def _record(
-    src_id: str,
-    src_models: list[Model],
-    dst: DomainDataset,
-    auc_base: float,
-    cfg: TrainConfig,
-) -> TransferRecord:
-    """The record of one ordered pair: the seed-k source model is adapted to
-    ``dst`` at seed ``cfg.seed + k`` in each mode, and each mode averaged."""
-    xd, yd = dst.x[dst.train], dst.y[dst.train]
-    hard, soft = (
-        [transfer(m, xd, yd, cfg, cfg.seed + k, mode) for k, m in enumerate(src_models)]
-        for mode in ("hard", "soft")
-    )
-    return TransferRecord(src_id, dst.id, auc_base, _mean_auc(hard, dst), _mean_auc(soft, dst))
+def _row(stack: Model, s: int) -> list[Model]:
+    """The E seed models of source ``s`` in a stack."""
+    return [stack.at(s, k) for k in range(stack.w1.shape[1])]
 
 
 def evaluate_pair(
     src: DomainDataset, dst: DomainDataset, cfg: TrainConfig
 ) -> TransferRecord:
-    """Ensemble-averaged AUCs for one ordered pair, every model trained afresh."""
-    auc_base = _mean_auc(_ensemble(dst, cfg), dst)
-    return _record(src.id, _ensemble(src, cfg), dst, auc_base, cfg)
+    """Ensemble-averaged AUCs for one ordered pair, every model fit alone.
+
+    This is the reference ``fti_matrix`` must match: each model is its own
+    one-model ``train_within`` or ``transfer`` call, and the seed-k source
+    model is adapted to ``dst`` at seed ``cfg.seed + k`` in each mode.
+    """
+    seeds = _seed_list(cfg)
+    xd, yd = _train_split(dst)
+    xs, ys = _train_split(src)
+    base = [train_within(xd, yd, cfg, seed) for seed in seeds]
+    sources = [train_within(xs, ys, cfg, seed) for seed in seeds]
+    hard, soft = (
+        [transfer(m, xd, yd, cfg, seed, mode) for m, seed in zip(sources, seeds)]
+        for mode in ("hard", "soft")
+    )
+    return TransferRecord(
+        src.id, dst.id, _mean_auc(base, dst), _mean_auc(hard, dst), _mean_auc(soft, dst)
+    )
 
 
 def fti_matrix(
@@ -318,20 +405,37 @@ def fti_matrix(
 ) -> tuple[list[TransferRecord], dict[tuple[str, str], float]]:
     """Transfer records and the fti cache over all usable ordered pairs.
 
-    A domain's ensemble depends only on the domain and the seeds, so it is
-    trained once and serves both as the source models of every pair out of
-    the domain and as the baseline of every pair into it; the result
-    matches ``evaluate_pair`` on every pair.
+    Each domain's ensemble is one ``train_within`` stack over the seeds
+    ``cfg.seed + k``: the baseline of every pair into the domain and the
+    source of every pair out of it.  Each destination and mode is one
+    ``transfer`` stack over the ensembles of all other domains, slot
+    ``(s, k)`` starting from source s's seed-k model.  Every slot is
+    bit-identical to the model ``evaluate_pair`` fits alone, so the records,
+    written in ``(source, target)`` order, match it on every pair.
     """
     check_weights(omega1, omega2)
     datasets = prepare_datasets(domains, cfg)
-    ensembles = [_ensemble(d, cfg) for d in datasets]
-    bases = [_mean_auc(models, d) for models, d in zip(ensembles, datasets)]
+    seeds = _seed_list(cfg)
+    ensembles = [train_within(*_train_split(d), cfg, seeds) for d in datasets]
+    bases = [_mean_auc(_row(stack, 0), d) for stack, d in zip(ensembles, datasets)]
+    transferred: dict[tuple[int, int, str], float] = {}
+    for j, dst in enumerate(datasets):
+        others = [i for i in range(len(datasets)) if i != j]
+        for mode in ("hard", "soft"):
+            # one stack alive at a time: it is dropped before the next is fit
+            stack = transfer(
+                [ensembles[i] for i in others], *_train_split(dst), cfg, seeds, mode
+            )
+            for s, i in enumerate(others):
+                transferred[i, j, mode] = _mean_auc(_row(stack, s), dst)
+            del stack
     records = [
-        _record(src.id, src_models, dst, auc_base, cfg)
-        for src, src_models in zip(datasets, ensembles)
-        for dst, auc_base in zip(datasets, bases)
-        if dst.id != src.id
+        TransferRecord(
+            src.id, dst.id, bases[j], transferred[i, j, "hard"], transferred[i, j, "soft"]
+        )
+        for i, src in enumerate(datasets)
+        for j, dst in enumerate(datasets)
+        if i != j
     ]
     return records, fti_from_records(records, omega1, omega2)
 

@@ -3,14 +3,21 @@
 Everything here is deliberately written the slow, obvious way and shares no
 code with the package internals it judges: wholesale recomputation instead
 of worklists, exact fractions instead of float accumulation, quadrature
-instead of special functions, brute enumeration instead of pruning.
+instead of special functions, brute enumeration instead of pruning, one
+network at a time instead of model stacks.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+from scipy.special import expit
+
+from transferlens.errors import DataError
+from transferlens.harness import TrainConfig
 from transferlens.ontology import (
     Atomic,
     Bottom,
@@ -511,3 +518,134 @@ def effective_brute(closures, target, kappa, tau):
         if r_e + r_i >= tau:
             out[frozenset(combo)] = (r_e, r_i)
     return out
+
+
+# -- the per-model trainer ------------------------------------------------------
+#
+# The harness trainer as it was before model stacks: one network, 2-D
+# products, each minibatch standardized on its own.  The code below is
+# copied unchanged, so the stacked trainer is held to it with ==.
+
+
+@dataclass
+class Model:
+    """One-hidden-layer network with the input standardization it was fit under."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: float
+
+
+def _check_classes(y: np.ndarray, what: str) -> None:
+    if y.size == 0 or y.min() == y.max():
+        raise DataError(f"{what} needs both classes present")
+
+
+def _forward(model: Model, x: np.ndarray):
+    xs = (x - model.mu) / model.sigma
+    z1 = xs @ model.w1 + model.b1
+    a1 = np.maximum(z1, 0.0)
+    return xs, z1, a1, expit(a1 @ model.w2 + model.b2)
+
+
+def predict_proba(model: Model, x: np.ndarray) -> np.ndarray:
+    return _forward(model, np.asarray(x, dtype=np.float64))[3]
+
+
+def _fit(
+    model: Model,
+    x: np.ndarray,
+    y: np.ndarray,
+    cfg: TrainConfig,
+    rng: np.random.Generator,
+    train_features: bool,
+) -> Model:
+    n = len(y)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            xs, z1, a1, p = _forward(model, x[idx])
+            dz2 = (p - y[idx]) / len(idx)
+            gw2 = a1.T @ dz2
+            gb2 = dz2.sum()
+            if train_features:
+                dz1 = np.outer(dz2, model.w2) * (z1 > 0)
+                model.w1 -= cfg.lr * (xs.T @ dz1)
+                model.b1 -= cfg.lr * dz1.sum(axis=0)
+            model.w2 -= cfg.lr * gw2
+            model.b2 -= cfg.lr * gb2
+    return model
+
+
+def _standardize_params(x: np.ndarray):
+    mu = x.mean(axis=0)
+    sigma = x.std(axis=0)
+    sigma[sigma == 0.0] = 1.0
+    return mu, sigma
+
+
+def _fresh_head(d_hidden: int, rng: np.random.Generator):
+    return rng.normal(0.0, np.sqrt(1.0 / d_hidden), size=d_hidden), 0.0
+
+
+def train_within(
+    x: np.ndarray, y: np.ndarray, cfg: TrainConfig, seed: int
+) -> Model:
+    """Fit a fresh model on one training split."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    _check_classes(y, "training split")
+    rng = np.random.default_rng(seed)
+    d = x.shape[1]
+    mu, sigma = _standardize_params(x)
+    w2, b2 = _fresh_head(cfg.hidden, rng)
+    model = Model(
+        mu=mu,
+        sigma=sigma,
+        w1=rng.normal(0.0, np.sqrt(2.0 / max(d, 1)), size=(d, cfg.hidden)),
+        b1=np.zeros(cfg.hidden),
+        w2=w2,
+        b2=b2,
+    )
+    return _fit(model, x, y, cfg, rng, train_features=True)
+
+
+def transfer(
+    source: Model,
+    x: np.ndarray,
+    y: np.ndarray,
+    cfg: TrainConfig,
+    seed: int,
+    mode: str,
+) -> Model:
+    """Adapt a source model to a new training split.
+
+    ``hard`` keeps the source feature block frozen and fits only a fresh
+    head; ``soft`` starts from the whole source model and fits everything.
+    Input standardization is preprocessing, not weights: both modes refit
+    it on the new split, otherwise features constant within the source
+    domain turn into huge offsets here and saturate the network.
+    """
+    if mode not in ("hard", "soft"):
+        raise DataError(f"unknown transfer mode {mode!r} (expected hard or soft)")
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    _check_classes(y, "training split")
+    if x.shape[1] != source.w1.shape[0]:
+        raise DataError(
+            f"feature width {x.shape[1]} does not match the source model "
+            f"({source.w1.shape[0]}); encode both domains over one vocabulary"
+        )
+    rng = np.random.default_rng(seed)
+    if mode == "hard":
+        w2, b2 = _fresh_head(cfg.hidden, rng)
+    else:
+        w2, b2 = source.w2.copy(), float(source.b2)
+    mu, sigma = _standardize_params(x)
+    model = Model(mu, sigma, source.w1.copy(), source.b1.copy(), w2, b2)
+    return _fit(model, x, y, cfg, rng, train_features=mode == "soft")
+

@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+import oracles
 from domfix import make_domain
 from oracles import auc_by_pairs
 from transferlens import harness
@@ -137,7 +138,18 @@ def test_train_config_validation():
             TrainConfig(train_frac=train_frac)
     with pytest.raises(DataError, match="seed must be non-negative"):
         TrainConfig(seed=-1)
+    for key, bad in [
+        ("ensemble", 1.5),
+        ("hidden", 2.0),
+        ("batch_size", np.nan),
+        ("epochs", True),
+        ("seed", False),
+        ("ensemble", "3"),
+    ]:
+        with pytest.raises(DataError, match=f"{key} must be an integer"):
+            TrainConfig(**{key: bad})
     TrainConfig(seed=0, train_frac=0.5)
+    TrainConfig(hidden=np.int64(3), seed=np.int32(2))
 
 
 # -- training --------------------------------------------------------------------
@@ -164,6 +176,73 @@ def test_training_is_deterministic_per_seed():
     assert m1.b2 == m2.b2
     m3 = train_within(x, y, FAST, seed=4)
     assert not np.array_equal(m1.w1, m3.w1)
+
+
+def _same_model(got, want):
+    for field in ("mu", "sigma", "w1", "b1", "w2"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.b2 == want.b2
+
+
+def _xy(rng, n, d):
+    """Rows of mixed real, binary and constant features, both classes present."""
+    x = rng.normal(size=(n, d))
+    x[:, ::3] = rng.integers(0, 2, size=x[:, ::3].shape)
+    if d > 1:
+        x[:, -1] = 1.0
+    y = (rng.random(n) < 0.5).astype(np.float64)
+    y[:2] = (0.0, 1.0)
+    return x, y
+
+
+@pytest.mark.parametrize(
+    "n, d, hidden, batch_size, ensemble, n_sources",
+    [
+        (23, 5, 4, 7, 3, 3),  # n not a multiple of b
+        (9, 3, 4, 16, 1, 1),  # b > n
+        (20, 4, 1, 8, 3, 1),  # hidden 1
+        (17, 1, 5, 4, 1, 3),  # d = 1, and a last batch of one row
+        (52, 121, 16, 16, 3, 3),  # the mini_flights shape
+    ],
+)
+def test_stacked_trainer_equals_the_per_model_oracle(n, d, hidden, batch_size, ensemble, n_sources):
+    cfg = TrainConfig(hidden=hidden, epochs=4, lr=0.1, batch_size=batch_size, ensemble=ensemble, seed=2)
+    seeds = [cfg.seed + k for k in range(ensemble)]
+    rng = np.random.default_rng(n * d)
+    splits = [_xy(rng, n + s, d) for s in range(n_sources)]
+    stacks, refs = [], []
+    for x, y in splits:
+        stack = train_within(x, y, cfg, seeds)
+        ref = [oracles.train_within(x, y, cfg, seed) for seed in seeds]
+        for k, seed in enumerate(seeds):
+            _same_model(stack.at(0, k), ref[k])
+            _same_model(train_within(x, y, cfg, seed), ref[k])
+        stacks.append(stack)
+        refs.append(ref)
+    xd, yd = _xy(rng, n, d)
+    xt = rng.normal(size=(7, d))
+    for mode in ("hard", "soft"):
+        stack = transfer(stacks, xd, yd, cfg, seeds, mode)
+        assert stack.w1.shape == (n_sources, ensemble, d, hidden)
+        for s in range(n_sources):
+            for k, seed in enumerate(seeds):
+                want = oracles.transfer(refs[s][k], xd, yd, cfg, seed, mode)
+                _same_model(stack.at(s, k), want)
+                _same_model(transfer(refs[s][k], xd, yd, cfg, seed, mode), want)
+                assert np.array_equal(
+                    predict_proba(stack.at(s, k), xt), oracles.predict_proba(want, xt)
+                )
+
+
+def test_stacks_reject_mismatched_seeds():
+    x, y = _toy_xy()
+    stack = train_within(x, y, FAST, [0, 1])
+    with pytest.raises(DataError, match="one model per seed"):
+        transfer([stack], x, y, FAST, [0, 1, 2], "soft")
+    with pytest.raises(DataError, match="one model per seed"):
+        transfer(stack, x, y, FAST, 0, "soft")
+    with pytest.raises(DataError, match="at least one seed"):
+        train_within(x, y, FAST, [])
 
 
 def test_single_class_split_rejected():
@@ -246,25 +325,46 @@ def test_matrix_trains_each_ensemble_once_and_transfers_it_per_seed(monkeypatch)
     trained, transfers = [], []
     real_train, real_transfer = harness.train_within, harness.transfer
 
-    def train_spy(x, y, cfg, seed):
-        model = real_train(x, y, cfg, seed)
-        trained.append((model, seed))  # holding the model keeps its id unique
-        return model
+    def train_spy(x, y, cfg, seeds):
+        stack = real_train(x, y, cfg, seeds)
+        trained.append((x, list(seeds), stack))
+        return stack
 
-    def transfer_spy(source, x, y, cfg, seed, mode):
-        transfers.append((id(source), seed, mode))
-        return real_transfer(source, x, y, cfg, seed, mode)
+    def transfer_spy(sources, x, y, cfg, seeds, mode):
+        stack = real_transfer(sources, x, y, cfg, seeds, mode)
+        transfers.append((list(sources), x, y, list(seeds), mode, stack))
+        return stack
 
     monkeypatch.setattr(harness, "train_within", train_spy)
     monkeypatch.setattr(harness, "transfer", transfer_spy)
-    fti_matrix(_domains(), FAST)
-    n_domains, n_seeds = 3, FAST.ensemble
-    assert len(trained) == n_domains * n_seeds == 6
-    assert len(transfers) == 2 * n_domains * (n_domains - 1) * n_seeds == 24
-    seed_of = {id(model): seed for model, seed in trained}
-    assert sorted(seed_of.values()) == [0, 0, 0, 1, 1, 1]
-    for source, seed, _ in transfers:
-        assert seed_of[source] == seed
+    domains = _domains()
+    fti_matrix(domains, FAST)
+    seeds = [FAST.seed + k for k in range(FAST.ensemble)]
+
+    # one train_within stack per domain, over the seeds cfg.seed + k
+    datasets = prepare_datasets(domains, FAST)
+    assert len(trained) == len(datasets) == 3
+    for ds, (x, got_seeds, stack) in zip(datasets, trained):
+        assert np.array_equal(x, ds.x[ds.train]) and got_seeds == seeds
+        assert stack.w1.shape[:2] == (1, FAST.ensemble)
+    ensembles = [stack for _, _, stack in trained]
+
+    # one transfer stack per (dst, mode), over every other domain's ensemble
+    seen = set()
+    for sources, x, y, got_seeds, mode, stack in transfers:
+        (dst,) = [j for j, e in enumerate(ensembles) if not any(e is s for s in sources)]
+        assert [id(s) for s in sources] == [id(e) for j, e in enumerate(ensembles) if j != dst]
+        assert np.array_equal(x, datasets[dst].x[datasets[dst].train])
+        assert got_seeds == seeds and (dst, mode) not in seen
+        seen.add((dst, mode))
+        # slot (s, k) starts from source s's seed-k model
+        for s, source in enumerate(sources):
+            for k, seed in enumerate(seeds):
+                alone = real_transfer(source.at(0, k), x, y, FAST, seed, mode)
+                slot = stack.at(s, k)
+                for field in ("w1", "b1", "w2", "b2"):
+                    assert np.array_equal(getattr(slot, field), getattr(alone, field))
+    assert seen == {(j, mode) for j in range(3) for mode in ("hard", "soft")}
 
 
 def test_fti_from_records_applies_weights():
