@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betainc
 
 from .domain import LearningDomain, membership_masks
 from .errors import DataError
@@ -104,6 +103,8 @@ def p_value(r: float, n: int) -> float:
     Student's t with n-2 degrees of freedom; the tail mass is evaluated
     through the regularized incomplete beta function.
     """
+    from scipy.special import betainc
+
     if n < 3:
         raise DataError(f"p_value needs at least 3 samples, got {n}")
     if not -1.0 - 1e-12 <= r <= 1.0 + 1e-12:

@@ -34,7 +34,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .domain import (
     LearningDomain,
@@ -101,14 +100,24 @@ class Model:
         )
 
 
-def _check_classes(y: np.ndarray, what: str) -> None:
+def _check_labels(y: np.ndarray, what: str) -> None:
+    bad = y[(y != 0.0) & (y != 1.0)]
+    if bad.size:
+        raise DataError(f"{what} labels must be 0 or 1, got {bad[0]:g}")
     if y.size == 0 or y.min() == y.max():
         raise DataError(f"{what} needs both classes present")
 
 
 def predict_proba(model: Model, x: np.ndarray) -> np.ndarray:
     """Class-1 probabilities of one network on the rows of ``x``."""
-    xs = (np.asarray(x, dtype=np.float64) - model.mu) / model.sigma
+    from scipy.special import expit
+
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != len(model.mu):
+        raise DataError(
+            f"expected rows of {len(model.mu)} features for this model, got shape {x.shape}"
+        )
+    xs = (x - model.mu) / model.sigma
     a1 = np.maximum(xs @ model.w1 + model.b1, 0.0)
     return expit(a1 @ model.w2 + model.b2)
 
@@ -130,6 +139,8 @@ def _fit(
     elementwise or a reduction along the same axis, so each slot is
     bit-identical to fitting its network alone.
     """
+    from scipy.special import expit
+
     n = len(y)
     xs = (x - stack.mu) / stack.sigma
     w1, b1, w2, b2 = stack.w1, stack.b1, stack.w2, stack.b2
@@ -180,7 +191,12 @@ def _seeds(seed: int | Sequence[int]) -> tuple[list[int], bool]:
 def _checked_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    _check_classes(y, "training split")
+    if x.ndim != 2 or y.shape != (len(x),):
+        raise DataError(
+            f"training data needs a 2-D x with one label per row, got x of shape "
+            f"{x.shape} and y of shape {y.shape}"
+        )
+    _check_labels(y, "training split")
     return x, y
 
 
@@ -272,17 +288,27 @@ def transfer(
 
 
 def auc(labels: np.ndarray, scores: np.ndarray) -> float:
-    """Area under the ROC curve via average ranks (ties handled)."""
+    """Area under the ROC curve via average ranks (ties handled).
+
+    Labels must be 0 or 1 with both present.  Tied scores share the mean of
+    the ranks they span, the half-integers ``scipy.stats.rankdata`` gives,
+    computed here in numpy so that scoring loads no scipy.
+    """
     labels = np.asarray(labels, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
-    if labels.shape != scores.shape:
-        raise DataError("labels and scores must have the same length")
-    _check_classes(labels, "evaluation split")
+    if labels.ndim != 1 or labels.shape != scores.shape:
+        raise DataError("labels and scores must be 1-D and of the same length")
+    _check_labels(labels, "evaluation split")
     if not np.isfinite(scores).all():
         raise DataError("scores must be finite; a diverged model gives NaN, try a smaller lr")
-    from scipy.stats import rankdata
-
-    ranks = rankdata(scores)
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    # a tie group spans sorted positions [start, end): 1-based ranks start+1..end
+    new_group = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = np.flatnonzero(new_group)
+    ends = np.append(starts[1:], len(scores))
+    ranks = np.empty(len(scores))
+    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(new_group) - 1]
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     return float(
@@ -344,8 +370,8 @@ def prepare_datasets(
         try:
             x, y = encode_dataset(d, vocab, props)
             train, test = split_indices(d, cfg.train_frac, cfg.seed)
-            _check_classes(y[train], f"training split of {d.id}")
-            _check_classes(y[test], f"test split of {d.id}")
+            _check_labels(y[train], f"training split of {d.id}")
+            _check_labels(y[test], f"test split of {d.id}")
         except DataError as exc:
             log.warning("skipping domain %s: %s", d.id, exc)
             continue

@@ -499,6 +499,26 @@ def auc_by_pairs(scores, labels) -> float:
     return wins / (len(pos) * len(neg))
 
 
+def auc_by_rankdata(labels: np.ndarray, scores: np.ndarray) -> float:
+    """The package's former ``auc``, ranking with ``scipy.stats.rankdata``."""
+    labels = np.asarray(labels, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if labels.shape != scores.shape:
+        raise DataError("labels and scores must have the same length")
+    _check_classes(labels, "evaluation split")
+    if not np.isfinite(scores).all():
+        raise DataError("scores must be finite; a diverged model gives NaN, try a smaller lr")
+    from scipy.stats import rankdata
+
+    ranks = rankdata(scores)
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    return float(
+        (ranks[labels == 1.0].sum() - n_pos * (n_pos + 1) / 2.0)
+        / (n_pos * n_neg)
+    )
+
+
 def frequent_brute(closures, target, sigma):
     """Frequent entailments by scanning every candidate against every LSO."""
     universe = set().union(*closures) - {target}

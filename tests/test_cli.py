@@ -424,6 +424,48 @@ def test_module_entrypoint_runs():
     assert proc.returncode == 0, proc.stderr
 
 
+_RUN_STAGES = """\
+import json, runpy, sys
+corpus, outdir, stages = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+for argv in stages:
+    sys.argv = ["transferlens", *argv, "--corpus", corpus, "--outdir", outdir]
+    try:
+        runpy.run_module("transferlens", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        if exc.code:
+            raise
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _scipy_modules_after(stages, outdir):
+    """The scipy modules loaded by running ``stages`` in one fresh process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_STAGES, str(MINI_FLIGHTS), str(outdir), json.dumps(stages)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_knowledge_stages_and_auc_ingestion_load_no_scipy(tmp_path):
+    csv = tmp_path / "measured.csv"
+    csv.write_text(
+        "source,target,auc_base,auc_hard,auc_soft\n"
+        "A1,B1,0.6,0.55,0.7\n"
+        "B1,A1,0.5,0.52,0.66\n"
+    )
+    stages = [["materialize"], ["mine-roots"], ["import-external"], ["fti", "--auc-csv", str(csv)]]
+    assert _scipy_modules_after(stages, tmp_path / "out") == set()
+
+
+def test_training_and_report_load_no_scipy_stats(tmp_path):
+    stages = [["fti", "--epochs", "2", "--ensemble", "1"], ["report"]]
+    loaded = _scipy_modules_after(stages, tmp_path / "out")
+    assert "scipy.special" in loaded
+    assert "scipy.stats" not in loaded
+
+
 def test_selftest_fails_under_optimized_python():
     # -O strips assert statements; a broken check must still fail the run
     script = (

@@ -80,9 +80,41 @@ def test_auc_extremes():
         auc([1, 1], [0.1, 0.2])
     with pytest.raises(DataError, match="same length"):
         auc([0, 1], [0.1, 0.2, 0.3])
+    with pytest.raises(DataError, match="1-D"):
+        auc([[0, 1], [1, 0]], [[0.1, 0.2], [0.3, 0.4]])
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DataError, match="scores must be finite"):
             auc([0, 1, 1], [0.1, bad, 0.9])
+    for labels, scores in (
+        ([0, 2, 2, 0], [0.1, 0.9, 0.8, 0.2]),
+        ([0, 0.5, 1], [0.1, 0.5, 0.9]),
+        ([0, 1, -1], [0.1, 0.5, 0.9]),
+        ([0, 1, np.nan], [0.1, 0.5, 0.9]),
+    ):
+        with pytest.raises(DataError, match="labels must be 0 or 1, got (2|0.5|-1|nan)$"):
+            auc(labels, scores)
+
+
+def _rank_cases():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(2, 60))
+        labels = (rng.random(n) < 0.5).astype(np.float64)
+        labels[:2] = rng.permutation([0.0, 1.0])
+        yield labels, np.round(rng.random(n), 1)  # heavy ties
+        yield labels, rng.normal(size=n)
+        yield labels, np.sort(rng.normal(size=n))
+        yield labels, np.sort(rng.normal(size=n))[::-1]
+        yield labels, np.full(n, 0.25)
+        yield labels, rng.choice([0.0, -0.0, 0.5, -0.5], size=n)
+    for scores in ([0.2, 0.7], [0.7, 0.2], [0.5, 0.5], [-0.0, 0.0], [0.0, -0.0]):
+        yield np.array([0.0, 1.0]), np.array(scores)
+        yield np.array([1.0, 0.0]), np.array(scores)
+
+
+def test_auc_ranks_equal_the_rankdata_oracle():
+    for labels, scores in _rank_cases():
+        assert auc(labels, scores) == oracles.auc_by_rankdata(labels, scores), (labels, scores)
 
 
 # -- indices --------------------------------------------------------------------
@@ -249,6 +281,11 @@ def test_single_class_split_rejected():
     x, _ = _toy_xy()
     with pytest.raises(DataError, match="both classes"):
         train_within(x, np.ones(len(x)), FAST, seed=0)
+    for bad in (2.0, np.nan):
+        y = np.resize([0.0, 1.0], len(x))
+        y[3] = bad
+        with pytest.raises(DataError, match="training split labels must be 0 or 1"):
+            train_within(x, y, FAST, seed=0)
 
 
 def test_hard_transfer_freezes_the_feature_block():
@@ -283,6 +320,21 @@ def test_transfer_rejects_bad_mode_and_width():
         transfer(src, x, y, FAST, seed=0, mode="warm")
     with pytest.raises(DataError, match="feature width"):
         transfer(src, x[:, :1], y, FAST, seed=0, mode="hard")
+
+
+def test_harness_rejects_mismatched_shapes():
+    x, y = _toy_xy()
+    with pytest.raises(DataError, match=r"x of shape \(24, 2\) and y of shape \(23,\)"):
+        train_within(x, y[:23], FAST, seed=0)
+    with pytest.raises(DataError, match=r"x of shape \(24,\)"):
+        train_within(x[:, 0], y, FAST, seed=0)
+    src = train_within(x, y, FAST, seed=0)
+    with pytest.raises(DataError, match=r"y of shape \(25,\)"):
+        transfer(src, x, np.append(y, 1.0), FAST, seed=0, mode="soft")
+    with pytest.raises(DataError, match=r"rows of 2 features .* shape \(24, 3\)"):
+        predict_proba(src, np.column_stack([x, x[:, 0]]))
+    with pytest.raises(DataError, match=r"rows of 2 features .* shape \(2,\)"):
+        predict_proba(src, x[0])
 
 
 # -- dataset preparation and the matrix ----------------------------------------------
