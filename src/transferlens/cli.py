@@ -440,6 +440,10 @@ def main(argv=None) -> int:
     except DataError as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
+    except (FileNotFoundError, IsADirectoryError) as err:
+        # an input path (--config, --kb, --kb-map, --auc-csv) naming no file, or a directory
+        print(f"data error: cannot read {err.filename}: {err.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

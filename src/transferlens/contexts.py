@@ -58,13 +58,12 @@ class SyncClusters:
 
 def sync_clusters(domains: list[LearningDomain]) -> SyncClusters:
     """Partition the shared entailment universe by domain mask."""
-    closures = [d.entailment_closure() for d in domains]
-    targets = {d.target for d in domains}
-    return _cluster_closures(closures, targets)
+    masks = membership_masks([d.entailment_closure() for d in domains])
+    return _cluster_closures(masks, {d.target for d in domains})
 
 
-def _cluster_closures(closures, targets) -> SyncClusters:
-    masks = membership_masks(closures)
+def _cluster_closures(masks: dict[Entailment, int], targets) -> SyncClusters:
+    """Group the non-target entailments of ``masks`` by their mask."""
     universe = sorted(masks.keys() - targets)
     groups: dict[int, list[Entailment]] = {}
     for g in universe:
@@ -263,5 +262,5 @@ def core_context_search(
     space = EvidenceSpace.build(
         domains, fti, epsilon=cfg.epsilon, alpha=cfg.alpha, n_min=cfg.n_min
     )
-    clusters = _cluster_closures(list(space.closures), {d.target for d in domains})
+    clusters = _cluster_closures(space.masks, {d.target for d in domains})
     return CoreContextScan(space, clusters, cfg).run()

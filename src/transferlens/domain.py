@@ -9,11 +9,12 @@ closures are computed.
 
 Feature encoding is bag-of-entailments: one bit per vocabulary entailment,
 plus a dense block of numeric value properties (roles whose objects are
-numbers, averaged per LSO).
+finite numbers, averaged per LSO).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -115,14 +116,16 @@ def build_vocabulary(domains) -> tuple[Entailment, ...]:
 
 
 def _numeric(text: str) -> float | None:
+    """The finite number ``text`` spells, else None."""
     try:
-        return float(text)
+        v = float(text)
     except ValueError:
         return None
+    return v if math.isfinite(v) else None
 
 
 def value_properties(domains) -> tuple[str, ...]:
-    """Roles whose objects are numeric in every occurrence, sorted."""
+    """Roles whose objects are finite numbers in every occurrence, sorted."""
     if isinstance(domains, LearningDomain):
         domains = [domains]
     numeric: set[str] = set()
@@ -179,7 +182,8 @@ def boe_encode(
                     sums[g.pred].append(v)
         for j, p in enumerate(value_props):
             if sums[p]:
-                vals[j] = float(np.mean(sums[p]))
+                # the atoms are a set, so the sum must not depend on their order
+                vals[j] = math.fsum(sums[p]) / len(sums[p])
     return FeatureVector(bits=bits, values=vals, label=int(closure.entails(domain.target)))
 
 

@@ -16,13 +16,15 @@ Positive fti means the source helps the destination; negative means it
 hurts.  The matrix over all ordered pairs feeds the evidence engine, either
 computed here or ingested from a CSV of previously measured AUCs.
 
-``_fit`` is the one trainer.  It steps a stack of S sources by E seeds in
-place, with one batched product per layer per minibatch, and each slot of
-the stack is bit-identical to the network fit alone.  ``fti_matrix`` fits
+Every model is a stack of S sources by E seeds, and every fit, transfer
+and prediction takes and gives one.  ``_fit`` is the one trainer: it steps
+a stack in place with one batched product per layer per minibatch, and
+``predict_proba`` scores a stack in one batched forward pass; each slot is
+bit-identical to its network fit and scored alone.  ``fti_matrix`` fits
 each domain's ensemble as one ``train_within`` stack (S = 1) and each
 destination's hard or soft transfers as one ``transfer`` stack over all
 other domains' ensembles; ``evaluate_pair`` fits every model as its own
-one-model stack and is the reference the matrix must match.
+1 x 1 stack and is the reference the matrix must match.
 """
 
 from __future__ import annotations
@@ -78,12 +80,12 @@ class TrainConfig:
 
 @dataclass
 class Model:
-    """One-hidden-layer network with the input standardization it was fit under.
+    """A stack of one-hidden-layer networks, S sources by E seeds.
 
-    One network has ``w1`` (d, h), ``b1`` and ``w2`` (h,) and a float
-    ``b2``.  A stack of S sources by E seeds, all fit on one split and so
-    sharing ``mu`` and ``sigma``, puts those two axes first: ``w1`` is
-    (S, E, d, h), ``b1`` and ``w2`` are (S, E, h) and ``b2`` is (S, E).
+    All its networks were fit on one split and share the input
+    standardization ``mu`` and ``sigma`` (d,).  The stack axes come first:
+    ``w1`` is (S, E, d, h), ``b1`` and ``w2`` are (S, E, h) and ``b2`` is
+    (S, E).
     """
 
     mu: np.ndarray
@@ -91,13 +93,7 @@ class Model:
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
-    b2: float | np.ndarray
-
-    def at(self, s: int, k: int) -> Model:
-        """Slot ``(s, k)`` of a stack as one network (views of its weights)."""
-        return Model(
-            self.mu, self.sigma, self.w1[s, k], self.b1[s, k], self.w2[s, k], float(self.b2[s, k])
-        )
+    b2: np.ndarray
 
 
 def _check_labels(y: np.ndarray, what: str) -> None:
@@ -108,18 +104,19 @@ def _check_labels(y: np.ndarray, what: str) -> None:
         raise DataError(f"{what} needs both classes present")
 
 
-def predict_proba(model: Model, x: np.ndarray) -> np.ndarray:
-    """Class-1 probabilities of one network on the rows of ``x``."""
+def predict_proba(stack: Model, x: np.ndarray) -> np.ndarray:
+    """Class-1 probabilities of every network of a stack on the rows of
+    ``x``, as an (S, E, n) array, in one batched forward pass."""
     from scipy.special import expit
 
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != len(model.mu):
+    if x.ndim != 2 or x.shape[1] != len(stack.mu):
         raise DataError(
-            f"expected rows of {len(model.mu)} features for this model, got shape {x.shape}"
+            f"expected rows of {len(stack.mu)} features for this model, got shape {x.shape}"
         )
-    xs = (x - model.mu) / model.sigma
-    a1 = np.maximum(xs @ model.w1 + model.b1, 0.0)
-    return expit(a1 @ model.w2 + model.b2)
+    xs = (x - stack.mu) / stack.sigma
+    a1 = np.maximum(xs @ stack.w1 + stack.b1[..., None, :], 0.0)
+    return expit((a1 @ stack.w2[..., None])[..., 0] + stack.b2[..., None])
 
 
 def _fit(
@@ -178,14 +175,11 @@ def _fresh_head(d_hidden: int, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(1.0 / d_hidden), size=d_hidden)
 
 
-def _seeds(seed: int | Sequence[int]) -> tuple[list[int], bool]:
-    """The seeds of a fit, and whether ``seed`` asked for one network."""
-    if isinstance(seed, numbers.Integral):
-        return [seed], True
-    seeds = list(seed)
-    if not seeds:
+def _rngs(seeds: Sequence[int]) -> list[np.random.Generator]:
+    """One generator per seed of a stack."""
+    if not len(seeds):
         raise DataError("a model stack needs at least one seed")
-    return seeds, False
+    return [np.random.default_rng(s) for s in seeds]
 
 
 def _checked_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -201,16 +195,15 @@ def _checked_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def train_within(
-    x: np.ndarray, y: np.ndarray, cfg: TrainConfig, seed: int | Sequence[int]
+    x: np.ndarray, y: np.ndarray, cfg: TrainConfig, seeds: Sequence[int]
 ) -> Model:
-    """Fit fresh models on one training split.
+    """Fit fresh networks on one training split, one per seed.
 
-    An int ``seed`` gives one model.  A sequence of E seeds gives a (1, E)
-    stack whose slot ``(0, k)`` is the model of ``seed[k]`` alone.
+    Gives a (1, E) stack whose slot ``(0, k)`` is the network of
+    ``seeds[k]`` fit alone.
     """
     x, y = _checked_xy(x, y)
-    seeds, one = _seeds(seed)
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = _rngs(seeds)
     d = x.shape[1]
     heads = [_fresh_head(cfg.hidden, rng) for rng in rngs]
     w1 = [rng.normal(0.0, np.sqrt(2.0 / max(d, 1)), size=(d, cfg.hidden)) for rng in rngs]
@@ -219,23 +212,22 @@ def train_within(
         mu=mu,
         sigma=sigma,
         w1=np.stack(w1)[None],
-        b1=np.zeros((1, len(seeds), cfg.hidden)),
+        b1=np.zeros((1, len(rngs), cfg.hidden)),
         w2=np.stack(heads)[None],
-        b2=np.zeros((1, len(seeds))),
+        b2=np.zeros((1, len(rngs))),
     )
-    _fit(stack, x, y, cfg, rngs, train_features=True)
-    return stack.at(0, 0) if one else stack
+    return _fit(stack, x, y, cfg, rngs, train_features=True)
 
 
 def transfer(
-    source: Model | Sequence[Model],
+    sources: Sequence[Model],
     x: np.ndarray,
     y: np.ndarray,
     cfg: TrainConfig,
-    seed: int | Sequence[int],
+    seeds: Sequence[int],
     mode: str,
 ) -> Model:
-    """Adapt source models to a new training split.
+    """Adapt source stacks to a new training split.
 
     ``hard`` keeps the source feature block frozen and fits only a fresh
     head; ``soft`` starts from the whole source model and fits everything.
@@ -243,48 +235,36 @@ def transfer(
     it on the new split, otherwise features constant within the source
     domain turn into huge offsets here and saturate the network.
 
-    One ``source`` model with an int ``seed`` gives one model.  A list of S
-    stacks of E models with a sequence of E seeds gives a (S, E) stack
-    whose slot ``(s, k)`` is model k of ``source[s]`` adapted alone at
-    ``seed[k]``.
+    ``sources`` are stacks of one network per seed.  The result stacks
+    their sources in order, and its slot ``(s, k)`` is network k of the
+    source in row s adapted alone at ``seeds[k]``; the sources are not
+    changed.
     """
     if mode not in ("hard", "soft"):
         raise DataError(f"unknown transfer mode {mode!r} (expected hard or soft)")
     x, y = _checked_xy(x, y)
-    seeds, one = _seeds(seed)
-    sources = [source] if one else list(source)
+    rngs = _rngs(seeds)
     if not sources:
         raise DataError("transfer needs at least one source")
     for src in sources:
-        if src.w1.ndim != (2 if one else 4) or (not one and src.w1.shape[1] != len(seeds)):
-            raise DataError(
-                "transfer takes one source model with one seed, or source stacks "
-                "of one model per seed with a sequence of seeds"
-            )
-        if x.shape[1] != src.w1.shape[-2]:
+        if src.w1.shape[1] != len(rngs):
+            raise DataError("transfer takes source stacks of one model per seed")
+        if x.shape[1] != src.w1.shape[2]:
             raise DataError(
                 f"feature width {x.shape[1]} does not match the source model "
-                f"({src.w1.shape[-2]}); encode both domains over one vocabulary"
+                f"({src.w1.shape[2]}); encode both domains over one vocabulary"
             )
-
-    def stacked(field: str, tail: tuple[int, ...]) -> np.ndarray:
-        return np.concatenate(
-            [np.reshape(getattr(src, field), (-1, len(seeds)) + tail) for src in sources]
-        )
-
-    rngs = [np.random.default_rng(s) for s in seeds]
-    w1 = stacked("w1", sources[0].w1.shape[-2:])
-    b1 = stacked("b1", (w1.shape[-1],))
+    w1 = np.concatenate([src.w1 for src in sources])
+    b1 = np.concatenate([src.b1 for src in sources])
     if mode == "hard":
         heads = np.stack([_fresh_head(cfg.hidden, rng) for rng in rngs])
         w2 = np.repeat(heads[None], len(w1), axis=0)
         b2 = np.zeros(w1.shape[:2])
     else:
-        w2 = stacked("w2", (w1.shape[-1],))
-        b2 = stacked("b2", ())
+        w2 = np.concatenate([src.w2 for src in sources])
+        b2 = np.concatenate([src.b2 for src in sources])
     mu, sigma = _standardize_params(x)
-    stack = _fit(Model(mu, sigma, w1, b1, w2, b2), x, y, cfg, rngs, mode == "soft")
-    return stack.at(0, 0) if one else stack
+    return _fit(Model(mu, sigma, w1, b1, w2, b2), x, y, cfg, rngs, mode == "soft")
 
 
 def auc(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -389,15 +369,10 @@ def _train_split(ds: DomainDataset) -> tuple[np.ndarray, np.ndarray]:
     return ds.x[ds.train], ds.y[ds.train]
 
 
-def _mean_auc(models: list[Model], ds: DomainDataset) -> float:
-    """Mean test-split AUC of ``models`` on ``ds``."""
+def _mean_auc(stack: Model, ds: DomainDataset) -> list[float]:
+    """Test-split AUC on ``ds`` of each source of a stack, the mean over its seeds."""
     xt, yt = ds.x[ds.test], ds.y[ds.test]
-    return float(np.mean([auc(yt, predict_proba(m, xt)) for m in models]))
-
-
-def _row(stack: Model, s: int) -> list[Model]:
-    """The E seed models of source ``s`` in a stack."""
-    return [stack.at(s, k) for k in range(stack.w1.shape[1])]
+    return [float(np.mean([auc(yt, p) for p in row])) for row in predict_proba(stack, xt)]
 
 
 def evaluate_pair(
@@ -406,21 +381,22 @@ def evaluate_pair(
     """Ensemble-averaged AUCs for one ordered pair, every model fit alone.
 
     This is the reference ``fti_matrix`` must match: each model is its own
-    one-model ``train_within`` or ``transfer`` call, and the seed-k source
+    1 x 1 ``train_within`` or ``transfer`` stack, and the seed-k source
     model is adapted to ``dst`` at seed ``cfg.seed + k`` in each mode.
     """
     seeds = _seed_list(cfg)
     xd, yd = _train_split(dst)
     xs, ys = _train_split(src)
-    base = [train_within(xd, yd, cfg, seed) for seed in seeds]
-    sources = [train_within(xs, ys, cfg, seed) for seed in seeds]
+    base = [train_within(xd, yd, cfg, [seed]) for seed in seeds]
+    sources = [train_within(xs, ys, cfg, [seed]) for seed in seeds]
     hard, soft = (
-        [transfer(m, xd, yd, cfg, seed, mode) for m, seed in zip(sources, seeds)]
+        [transfer([m], xd, yd, cfg, [seed], mode) for m, seed in zip(sources, seeds)]
         for mode in ("hard", "soft")
     )
-    return TransferRecord(
-        src.id, dst.id, _mean_auc(base, dst), _mean_auc(hard, dst), _mean_auc(soft, dst)
+    base_auc, hard_auc, soft_auc = (
+        float(np.mean([_mean_auc(m, dst)[0] for m in models])) for models in (base, hard, soft)
     )
+    return TransferRecord(src.id, dst.id, base_auc, hard_auc, soft_auc)
 
 
 def fti_matrix(
@@ -443,7 +419,7 @@ def fti_matrix(
     datasets = prepare_datasets(domains, cfg)
     seeds = _seed_list(cfg)
     ensembles = [train_within(*_train_split(d), cfg, seeds) for d in datasets]
-    bases = [_mean_auc(_row(stack, 0), d) for stack, d in zip(ensembles, datasets)]
+    bases = [_mean_auc(stack, d)[0] for stack, d in zip(ensembles, datasets)]
     transferred: dict[tuple[int, int, str], float] = {}
     for j, dst in enumerate(datasets):
         others = [i for i in range(len(datasets)) if i != j]
@@ -452,8 +428,8 @@ def fti_matrix(
             stack = transfer(
                 [ensembles[i] for i in others], *_train_split(dst), cfg, seeds, mode
             )
-            for s, i in enumerate(others):
-                transferred[i, j, mode] = _mean_auc(_row(stack, s), dst)
+            for i, mean in zip(others, _mean_auc(stack, dst)):
+                transferred[i, j, mode] = mean
             del stack
     records = [
         TransferRecord(

@@ -438,7 +438,6 @@ def materialize(tbox, abox) -> EntailmentClosure:
     class_atoms: set[tuple[str, str]] = set()
     role_atoms: set[tuple[str, str, str]] = set()
     by_ind: dict[str, set[str]] = {}
-    by_key: dict[str, set[str]] = {}
     role_out: dict[tuple[str, str], set[str]] = {}
     role_in: dict[tuple[str, str], set[str]] = {}
     # known before any merge, so that every merge checks all of them
@@ -476,7 +475,6 @@ def materialize(tbox, abox) -> EntailmentClosure:
         for k, i in moved_c:
             class_atoms.discard((k, i))
             by_ind.get(i, set()).discard(k)
-            by_key.get(k, set()).discard(i)
             push_class(k, kept)
         for role, s, o in moved_r:
             role_atoms.discard((role, s, o))
@@ -502,7 +500,6 @@ def materialize(tbox, abox) -> EntailmentClosure:
         class_atoms.add(atom)
         state["insertions"] += 1
         by_ind.setdefault(x, set()).add(key)
-        by_key.setdefault(key, set()).add(x)
         for b in rules.sub_by_lhs.get(key, ()):
             push_class(b, x)
         has = by_ind[x]

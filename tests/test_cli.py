@@ -190,6 +190,23 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["fti"], "--auc-csv"),
+        (["import-external", "--corpus", str(MINI_FLIGHTS)], "--kb"),
+        (["import-external", "--corpus", str(MINI_FLIGHTS)], "--kb-map"),
+        (["materialize", "--corpus", str(MINI_FLIGHTS)], "--config"),
+    ],
+)
+def test_unreadable_input_paths_exit_2(argv, flag, tmp_path, capsys):
+    # a path that names nothing, and one that names a directory
+    for path in (tmp_path / "absent.txt", tmp_path):
+        assert main([*argv, "--outdir", str(tmp_path / "o"), flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(path) in err
+
+
 def test_report_without_fti_artifact_exits_2(corpus_dir, tmp_path, capsys):
     code = main(
         ["report", "--corpus", str(corpus_dir), "--outdir", str(tmp_path / "o")]

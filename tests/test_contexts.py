@@ -20,6 +20,7 @@ from transferlens.contexts import (
     fast_extend,
     sync_clusters,
 )
+from transferlens.domain import membership_masks
 from transferlens.errors import DataError
 from transferlens.evidence import (
     CoreContext,
@@ -59,7 +60,7 @@ def synth_space(seed, n_domains=5, n_atoms=8, p=0.6, **kw):
         alpha=kw.get("alpha", 0.05),
         n_min=kw.get("n_min", 3),
     )
-    clusters = _cluster_closures(list(closures), set())
+    clusters = _cluster_closures(space.masks, set())
     return space, clusters
 
 
@@ -93,7 +94,7 @@ def test_clusters_group_identical_signatures():
         frozenset({_g("A"), _g("B")}),
         frozenset({_g("C"), _g("D")}),
     ]
-    cl = _cluster_closures(closures, set())
+    cl = _cluster_closures(membership_masks(closures), set())
     groups = {frozenset(c) for c in cl.clusters}
     assert groups == {
         frozenset({_g("A"), _g("B")}),
@@ -110,10 +111,10 @@ def test_clusters_refine_under_domain_growth():
         frozenset({_g("A"), _g("B")}),
         frozenset({_g("A"), _g("B")}),
     ]
-    merged = _cluster_closures(base, set())
+    merged = _cluster_closures(membership_masks(base), set())
     assert len(merged.clusters) == 1
     # a third domain that separates A from B can only split, never merge
-    split = _cluster_closures(base + [frozenset({_g("A")})], set())
+    split = _cluster_closures(membership_masks(base + [frozenset({_g("A")})]), set())
     assert len(split.clusters) == 2
     for cluster in split.clusters:
         assert any(
@@ -132,7 +133,7 @@ def test_sync_clusters_excludes_targets():
 
 
 def test_single_domain_forms_one_cluster():
-    cl = _cluster_closures([frozenset({_g("A"), _g("B"), _g("C")})], set())
+    cl = _cluster_closures(membership_masks([frozenset({_g("A"), _g("B"), _g("C")})]), set())
     assert len(cl.clusters) == 1
     assert len(cl.clusters[0]) == 3
 
@@ -158,7 +159,7 @@ def test_fast_extend_is_cluster_membership():
         frozenset({_g("A"), _g("B"), _g("C")}),
         frozenset({_g("A"), _g("B")}),
     ]
-    cl = _cluster_closures(closures, set())
+    cl = _cluster_closures(membership_masks(closures), set())
     assert fast_extend([_g("A")], _g("B"), cl)
     assert not fast_extend([_g("A")], _g("C"), cl)
     assert not fast_extend([], _g("C"), cl)

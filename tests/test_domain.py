@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -73,6 +77,11 @@ def test_value_properties_require_numeric_everywhere():
         "t", "Delayed(d)", LSOS + ["RoleAssert(dist d far)"], tbox=TBOX
     )
     assert value_properties(tainted) == ()
+    # a non-finite value would give a NaN feature, or stop the mean's fsum
+    for doc in ("RoleAssert(dist d nan)", "RoleAssert(dist d inf)\nRoleAssert(dist d -inf)"):
+        d = make_domain("t", "Delayed(d)", LSOS + [doc], tbox=TBOX)
+        assert value_properties(d) == (), doc
+        assert boe_encode(d, 3, (), ("dist",)).values.tolist() == [0.0], doc
 
 
 def test_boe_encode_bits_and_value_means():
@@ -86,6 +95,33 @@ def test_boe_encode_bits_and_value_means():
     assert fv.values.tolist() == [150.0]
     assert fv.label == 1
     assert fv.x.shape == (len(vocab) + 1,)
+
+
+_ENCODE_VALUES = """\
+from domfix import make_domain
+from transferlens.domain import boe_encode, value_properties
+values = ["1e16", "1", "-1e16", "3", "0.1", "7", "2.5"]
+doc = "\\n".join(["ClassAssert(K d)"] + [f"RoleAssert(hasX d {v})" for v in values])
+d = make_domain("v", "Y(d)", [doc, "ClassAssert(Y d)"])
+print(repr(boe_encode(d, 0, (), value_properties(d)).values.tolist()))
+"""
+
+
+def test_boe_encode_value_mean_ignores_the_hash_seed():
+    # the LSO's atoms are a set whose order follows PYTHONHASHSEED; with
+    # these magnitudes a float sum in that order changes with the seed
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    encoded = set()
+    for hash_seed in range(8):
+        proc = subprocess.run(
+            [sys.executable, "-c", _ENCODE_VALUES],
+            env={**env, "PYTHONHASHSEED": str(hash_seed)},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        encoded.add(proc.stdout)
+    assert encoded == {"[%r]\n" % ((1.0 + 3.0 + 0.1 + 7.0 + 2.5) / 7)}
 
 
 def test_boe_encode_refuses_inconsistent_lso():

@@ -196,24 +196,36 @@ def _toy_xy(n=24, seed=0):
 
 def test_label_revealing_feature_reaches_perfect_auc():
     x, y = _toy_xy()
-    model = train_within(x, y, TrainConfig(hidden=4, epochs=60, lr=0.1, batch_size=8), seed=0)
-    assert auc(y, predict_proba(model, x)) == 1.0
+    stack = train_within(x, y, TrainConfig(hidden=4, epochs=60, lr=0.1, batch_size=8), [0])
+    assert auc(y, predict_proba(stack, x)[0, 0]) == 1.0
 
 
 def test_training_is_deterministic_per_seed():
     x, y = _toy_xy()
-    m1 = train_within(x, y, FAST, seed=3)
-    m2 = train_within(x, y, FAST, seed=3)
+    m1 = train_within(x, y, FAST, [3])
+    m2 = train_within(x, y, FAST, [3])
     assert np.array_equal(m1.w1, m2.w1) and np.array_equal(m1.w2, m2.w2)
-    assert m1.b2 == m2.b2
-    m3 = train_within(x, y, FAST, seed=4)
+    assert np.array_equal(m1.b2, m2.b2)
+    m3 = train_within(x, y, FAST, [4])
     assert not np.array_equal(m1.w1, m3.w1)
 
 
-def _same_model(got, want):
-    for field in ("mu", "sigma", "w1", "b1", "w2"):
-        assert np.array_equal(getattr(got, field), getattr(want, field)), field
-    assert got.b2 == want.b2
+_WEIGHTS = ("w1", "b1", "w2", "b2")
+
+
+def _slot(stack, s, k):
+    """Slot ``(s, k)`` of a stack as a 1 x 1 stack."""
+    return harness.Model(
+        stack.mu, stack.sigma, *(getattr(stack, f)[s : s + 1, k : k + 1] for f in _WEIGHTS)
+    )
+
+
+def _same_model(stack, s, k, want):
+    """Slot ``(s, k)`` of ``stack`` is the oracle's network ``want``."""
+    for field in ("mu", "sigma"):
+        assert np.array_equal(getattr(stack, field), getattr(want, field)), field
+    for field in _WEIGHTS:
+        assert np.array_equal(getattr(stack, field)[s, k], getattr(want, field)), field
 
 
 def _xy(rng, n, d):
@@ -235,6 +247,7 @@ def _xy(rng, n, d):
         (20, 4, 1, 8, 3, 1),  # hidden 1
         (17, 1, 5, 4, 1, 3),  # d = 1, and a last batch of one row
         (52, 121, 16, 16, 3, 3),  # the mini_flights shape
+        (31, 99, 8, 16, 10, 7),  # the default ensemble over seven sources
     ],
 )
 def test_stacked_trainer_equals_the_per_model_oracle(n, d, hidden, batch_size, ensemble, n_sources):
@@ -247,8 +260,8 @@ def test_stacked_trainer_equals_the_per_model_oracle(n, d, hidden, batch_size, e
         stack = train_within(x, y, cfg, seeds)
         ref = [oracles.train_within(x, y, cfg, seed) for seed in seeds]
         for k, seed in enumerate(seeds):
-            _same_model(stack.at(0, k), ref[k])
-            _same_model(train_within(x, y, cfg, seed), ref[k])
+            _same_model(stack, 0, k, ref[k])
+            _same_model(train_within(x, y, cfg, [seed]), 0, 0, ref[k])
         stacks.append(stack)
         refs.append(ref)
     xd, yd = _xy(rng, n, d)
@@ -256,14 +269,15 @@ def test_stacked_trainer_equals_the_per_model_oracle(n, d, hidden, batch_size, e
     for mode in ("hard", "soft"):
         stack = transfer(stacks, xd, yd, cfg, seeds, mode)
         assert stack.w1.shape == (n_sources, ensemble, d, hidden)
+        proba = predict_proba(stack, xt)
+        assert proba.shape == (n_sources, ensemble, len(xt))
         for s in range(n_sources):
             for k, seed in enumerate(seeds):
                 want = oracles.transfer(refs[s][k], xd, yd, cfg, seed, mode)
-                _same_model(stack.at(s, k), want)
-                _same_model(transfer(refs[s][k], xd, yd, cfg, seed, mode), want)
-                assert np.array_equal(
-                    predict_proba(stack.at(s, k), xt), oracles.predict_proba(want, xt)
-                )
+                _same_model(stack, s, k, want)
+                alone = transfer([_slot(stacks[s], 0, k)], xd, yd, cfg, [seed], mode)
+                _same_model(alone, 0, 0, want)
+                assert np.array_equal(proba[s, k], oracles.predict_proba(want, xt))
 
 
 def test_stacks_reject_mismatched_seeds():
@@ -272,28 +286,30 @@ def test_stacks_reject_mismatched_seeds():
     with pytest.raises(DataError, match="one model per seed"):
         transfer([stack], x, y, FAST, [0, 1, 2], "soft")
     with pytest.raises(DataError, match="one model per seed"):
-        transfer(stack, x, y, FAST, 0, "soft")
+        transfer([stack], x, y, FAST, [0], "soft")
     with pytest.raises(DataError, match="at least one seed"):
         train_within(x, y, FAST, [])
+    with pytest.raises(DataError, match="at least one source"):
+        transfer([], x, y, FAST, [0], "soft")
 
 
 def test_single_class_split_rejected():
     x, _ = _toy_xy()
     with pytest.raises(DataError, match="both classes"):
-        train_within(x, np.ones(len(x)), FAST, seed=0)
+        train_within(x, np.ones(len(x)), FAST, [0])
     for bad in (2.0, np.nan):
         y = np.resize([0.0, 1.0], len(x))
         y[3] = bad
         with pytest.raises(DataError, match="training split labels must be 0 or 1"):
-            train_within(x, y, FAST, seed=0)
+            train_within(x, y, FAST, [0])
 
 
 def test_hard_transfer_freezes_the_feature_block():
     x, y = _toy_xy()
-    src = train_within(x, y, FAST, seed=0)
+    src = train_within(x, y, FAST, [0])
     x2, y2 = _toy_xy(seed=9)
     x2 = x2 + 5.0  # shifted inputs: standardization must adapt, weights must not
-    hard = transfer(src, x2, y2, FAST, seed=1, mode="hard")
+    hard = transfer([src], x2, y2, FAST, [1], mode="hard")
     assert np.array_equal(hard.w1, src.w1)
     assert np.array_equal(hard.b1, src.b1)
     assert not np.array_equal(hard.w2, src.w2)
@@ -303,34 +319,34 @@ def test_hard_transfer_freezes_the_feature_block():
 
 def test_soft_transfer_fits_everything():
     x, y = _toy_xy()
-    src = train_within(x, y, FAST, seed=0)
+    src = train_within(x, y, FAST, [0])
     x2, y2 = _toy_xy(seed=9)
-    soft = transfer(src, x2, y2, FAST, seed=1, mode="soft")
+    soft = transfer([src], x2, y2, FAST, [1], mode="soft")
     assert not np.array_equal(soft.w1, src.w1)
     assert np.allclose(soft.mu, x2.mean(axis=0))
     # source weights are untouched by either mode
-    ref = train_within(x, y, FAST, seed=0)
+    ref = train_within(x, y, FAST, [0])
     assert np.array_equal(src.w1, ref.w1) and np.array_equal(src.w2, ref.w2)
 
 
 def test_transfer_rejects_bad_mode_and_width():
     x, y = _toy_xy()
-    src = train_within(x, y, FAST, seed=0)
+    src = train_within(x, y, FAST, [0])
     with pytest.raises(DataError, match="unknown transfer mode"):
-        transfer(src, x, y, FAST, seed=0, mode="warm")
+        transfer([src], x, y, FAST, [0], mode="warm")
     with pytest.raises(DataError, match="feature width"):
-        transfer(src, x[:, :1], y, FAST, seed=0, mode="hard")
+        transfer([src], x[:, :1], y, FAST, [0], mode="hard")
 
 
 def test_harness_rejects_mismatched_shapes():
     x, y = _toy_xy()
     with pytest.raises(DataError, match=r"x of shape \(24, 2\) and y of shape \(23,\)"):
-        train_within(x, y[:23], FAST, seed=0)
+        train_within(x, y[:23], FAST, [0])
     with pytest.raises(DataError, match=r"x of shape \(24,\)"):
-        train_within(x[:, 0], y, FAST, seed=0)
-    src = train_within(x, y, FAST, seed=0)
+        train_within(x[:, 0], y, FAST, [0])
+    src = train_within(x, y, FAST, [0])
     with pytest.raises(DataError, match=r"y of shape \(25,\)"):
-        transfer(src, x, np.append(y, 1.0), FAST, seed=0, mode="soft")
+        transfer([src], x, np.append(y, 1.0), FAST, [0], mode="soft")
     with pytest.raises(DataError, match=r"rows of 2 features .* shape \(24, 3\)"):
         predict_proba(src, np.column_stack([x, x[:, 0]]))
     with pytest.raises(DataError, match=r"rows of 2 features .* shape \(2,\)"):
@@ -412,10 +428,9 @@ def test_matrix_trains_each_ensemble_once_and_transfers_it_per_seed(monkeypatch)
         # slot (s, k) starts from source s's seed-k model
         for s, source in enumerate(sources):
             for k, seed in enumerate(seeds):
-                alone = real_transfer(source.at(0, k), x, y, FAST, seed, mode)
-                slot = stack.at(s, k)
-                for field in ("w1", "b1", "w2", "b2"):
-                    assert np.array_equal(getattr(slot, field), getattr(alone, field))
+                alone = real_transfer([_slot(source, 0, k)], x, y, FAST, [seed], mode)
+                for field in _WEIGHTS:
+                    assert np.array_equal(getattr(stack, field)[s, k], getattr(alone, field)[0, 0])
     assert seen == {(j, mode) for j in range(3) for mode in ("hard", "soft")}
 
 
