@@ -84,16 +84,14 @@ def _coerce(key: str, value: str):
     try:
         return float(value) if key in _FLOAT_FIELDS else int(value)
     except ValueError:
-        kind = "number" if key in _FLOAT_FIELDS else "integer"
-        raise DataError(f"config value for {key} must be a {kind}, got {value!r}") from None
+        kind = "a number" if key in _FLOAT_FIELDS else "an integer"
+        raise DataError(f"config value for {key} must be {kind}, got {value!r}") from None
 
 
 def load_config_file(path: str | Path) -> dict:
     """Flat ``key = value`` file; keys match PipelineConfig fields."""
     out: dict = {}
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"config file {path} does not exist")
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -12,6 +12,13 @@ entailments only shrinks the evidence domains.
 
 The scan's result store holds, per scanned cluster set, the evidence
 space's shared result for its mask; contexts are attached on the way out.
+A set is keyed by its tuple of cluster indices in ascending order.  The
+walk is a preorder depth-first search that extends a set only by larger
+indices, so the store's insertion order is already the sorted key order.
+The walk also carries each set's ascending cluster-size profile down to
+its children (a child's is its parent's with one size inserted), and a
+set's cover count is looked up by that profile.
+
 ``iter_contexts`` expands the store to concrete contexts (for small
 universes and tests), ``rep_results`` streams one representative context
 per set with its exact cover count, and ``lookup`` answers for any specific
@@ -20,6 +27,7 @@ context, including one the search pruned.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -145,8 +153,9 @@ class CoreContextScan:
         self.space = space
         self.clusters = clusters
         self.cfg = cfg
-        self.results: dict[frozenset[int], EvidenceResult] = {}
+        self.results: dict[tuple[int, ...], EvidenceResult] = {}
         self.stats = SearchStats()
+        self._sizes = tuple(len(c) for c in clusters.clusters)
         self._covers: dict[tuple[int, ...], int] = {}
         self._ran = False
 
@@ -164,12 +173,13 @@ class CoreContextScan:
             math.comb(u, k) for k in range(2, self.cfg.max_dim + 1)
         )
         for i in range(n):
-            self._walk((i,), self.clusters.masks[i])
+            self._walk((i,), self.clusters.masks[i], (self._sizes[i],))
         return self
 
-    def _walk(self, idxs: tuple[int, ...], mask: int) -> None:
-        res = self.results[frozenset(idxs)] = self.space.score_mask(mask)
-        cover = self._cover(idxs)
+    def _walk(self, idxs: tuple[int, ...], mask: int, profile: tuple[int, ...]) -> None:
+        # ``profile`` is the set's cluster sizes in ascending order
+        res = self.results[idxs] = self.space.score_mask(mask)
+        cover = self._cover(profile)
         self.stats.evaluated += 1
         self.stats.covered += cover
         self.stats.inherited += cover - (1 if len(idxs) >= 2 else 0)
@@ -184,13 +194,14 @@ class CoreContextScan:
             child_mask = mask & self.clusters.masks[nxt]
             # evidence domains can only shrink along an extension
             assert not child_mask & ~mask, "evidence-domain growth"
-            self._walk(idxs + (nxt,), child_mask)
+            size = self._sizes[nxt]
+            at = bisect.bisect(profile, size)
+            self._walk(idxs + (nxt,), child_mask, profile[:at] + (size,) + profile[at:])
 
     # -- result access -----------------------------------------------------
 
-    def _cover(self, idxs) -> int:
-        """Concrete contexts a cluster set covers; depends only on its sizes."""
-        sizes = tuple(sorted(len(self.clusters.clusters[i]) for i in idxs))
+    def _cover(self, sizes: tuple[int, ...]) -> int:
+        """Concrete contexts a cluster set with these ascending sizes covers."""
         cover = self._covers.get(sizes)
         if cover is None:
             lo, hi = max(2, len(sizes)), self.cfg.max_dim
@@ -201,9 +212,10 @@ class CoreContextScan:
         """(representative context, result, exact covered-context count)."""
         self.run()
         reps = self.clusters.reps
-        for key in sorted(self.results, key=sorted):
+        for key, res in self.results.items():
             context = CoreContext(frozenset(reps[i] for i in key))
-            yield context, replace(self.results[key], evidence=context), self._cover(key)
+            sizes = tuple(sorted(self._sizes[i] for i in key))
+            yield context, replace(res, evidence=context), self._cover(sizes)
 
     def iter_contexts(self):
         """Every covered concrete context with its (inherited) result.
@@ -212,9 +224,8 @@ class CoreContextScan:
         universes, reporting caps, and equivalence tests.
         """
         self.run()
-        for key in sorted(self.results, key=sorted):
-            res = self.results[key]
-            member_sets = [self.clusters.clusters[i] for i in sorted(key)]
+        for key, res in self.results.items():
+            member_sets = [self.clusters.clusters[i] for i in key]
             k = len(member_sets)
             for total in range(max(2, k), self.cfg.max_dim + 1):
                 for sizes in _compositions(total, [len(m) for m in member_sets]):

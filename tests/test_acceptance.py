@@ -253,7 +253,7 @@ def test_c6_property_suites(flights, flights_scan):
     for key, res in results.items():
         if len(key) < 2:
             continue
-        parent = key - {max(key)}
+        parent = key[:-1]
         assert parent in results, f"walk skipped the prefix of {sorted(key)}"
         assert res.n <= results[parent].n
 

@@ -104,7 +104,7 @@ def test_resolve_config_flags_beat_file_beat_defaults(tmp_path):
 
 
 def test_load_config_file_errors(tmp_path):
-    with pytest.raises(DataError, match="does not exist"):
+    with pytest.raises(FileNotFoundError):
         load_config_file(tmp_path / "absent.cfg")
 
     p = tmp_path / "c.cfg"
@@ -112,7 +112,7 @@ def test_load_config_file_errors(tmp_path):
         ("epochs\n", "key = value"),
         ("color = red\n", "unknown config key"),
         ("epochs = 5\nepochs = 6\n", "duplicate"),
-        ("epochs = many\n", "must be a integer"),
+        ("epochs = many\n", "must be an integer"),
         ("sigma = high\n", "must be a number"),
     ]:
         p.write_text(text)
@@ -204,7 +204,7 @@ def test_unreadable_input_paths_exit_2(argv, flag, tmp_path, capsys):
     for path in (tmp_path / "absent.txt", tmp_path):
         assert main([*argv, "--outdir", str(tmp_path / "o"), flag, str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: ") and str(path) in err
+        assert err.startswith("data error: cannot read ") and str(path) in err
 
 
 def test_report_without_fti_artifact_exits_2(corpus_dir, tmp_path, capsys):

@@ -220,6 +220,45 @@ def test_stats_account_for_every_context():
     assert 0.0 <= scan.stats.prune_rate <= 1.0
 
 
+@pytest.mark.parametrize("stop", [False, True])
+def test_store_is_keyed_by_index_tuple_in_walk_order(stop):
+    # the store's order is the row order of scan.tsv and contexts.tsv
+    for seed in range(6):
+        space, clusters = synth_space(seed, alpha=0.4)
+        cfg = SearchConfig(max_dim=4, alpha=0.4, early_stop=stop)
+        scan = CoreContextScan(space, clusters, cfg).run()
+        keys = list(scan.results)
+        for key in keys:
+            assert type(key) is tuple, f"seed {seed}: {key!r}"
+            assert all(type(i) is int for i in key)
+            assert all(a < b for a, b in zip(key, key[1:])), f"seed {seed}: {key}"
+        assert keys == sorted(keys), f"seed {seed}"
+        reps = clusters.reps
+        yielded = [context.entailments for context, _, _ in scan.rep_results()]
+        assert yielded == [frozenset(reps[i] for i in key) for key in keys]
+
+
+@pytest.mark.parametrize("stop", [False, True])
+def test_stats_rebuild_from_the_store(stop):
+    pruned = False
+    for seed in range(6):
+        space, clusters = synth_space(seed, n_domains=4, n_atoms=10, alpha=0.4)
+        cfg = SearchConfig(max_dim=4, alpha=0.4, early_stop=stop)
+        scan = CoreContextScan(space, clusters, cfg).run()
+        pruned |= scan.stats.early_stopped > 0
+        covered = valid = inherited = 0
+        for key, res in scan.results.items():
+            sizes = sorted(len(clusters.clusters[i]) for i in key)
+            cover = _count_expansions(sizes, max(2, len(key)), cfg.max_dim)
+            covered += cover
+            inherited += cover - (1 if len(key) >= 2 else 0)
+            if res.valid:
+                valid += cover
+        st = scan.stats
+        assert (covered, valid, inherited) == (st.covered, st.valid, st.inherited), seed
+    assert pruned == stop, "fixtures must prune exactly when early stop is on"
+
+
 def test_early_stop_prunes_but_never_lies():
     lost_valid = 0
     total_valid = 0
@@ -244,7 +283,7 @@ def test_early_stop_prunes_but_never_lies():
             if len(idxs) < 2:
                 continue
             chain_ok = all(
-                not early_stop(full.results[frozenset(idxs[:j])], cfg_on.alpha)
+                not early_stop(full.results[idxs[:j]], cfg_on.alpha)
                 for j in range(2, len(idxs))
             )
             if chain_ok:
