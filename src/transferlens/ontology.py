@@ -295,6 +295,20 @@ class _Parser:
         return Atomic(tok)
 
 
+def _concept_names(c: ConceptExpr):
+    """Yield ``(name, kind)`` for every name in c, depth-first."""
+    if isinstance(c, Atomic):
+        yield c.name, "concept"
+    elif isinstance(c, Nominal):
+        yield c.individual, "individual"
+    elif isinstance(c, Existential):
+        yield c.role, "role"
+        yield from _concept_names(c.filler)
+    elif isinstance(c, Conjunction):
+        for p in c.parts:
+            yield from _concept_names(p)
+
+
 class _SignatureBuilder:
     """Tracks each name's kind and the place it was first used that way."""
 
@@ -312,16 +326,8 @@ class _SignatureBuilder:
             )
 
     def walk_concept(self, c: ConceptExpr, line: int, col: int) -> None:
-        if isinstance(c, Atomic):
-            self.use(c.name, "concept", line, col)
-        elif isinstance(c, Nominal):
-            self.use(c.individual, "individual", line, col)
-        elif isinstance(c, Existential):
-            self.use(c.role, "role", line, col)
-            self.walk_concept(c.filler, line, col)
-        elif isinstance(c, Conjunction):
-            for p in c.parts:
-                self.walk_concept(p, line, col)
+        for name, kind in _concept_names(c):
+            self.use(name, kind, line, col)
 
     def signature(self) -> Signature:
         buckets: dict[str, set[str]] = {"concept": set(), "role": set(), "individual": set()}
@@ -518,23 +524,9 @@ class _FreshNames:
 
 def _signature_names(axioms) -> set[str]:
     names: set[str] = set()
-
-    def walk(c: ConceptExpr):
-        if isinstance(c, Atomic):
-            names.add(c.name)
-        elif isinstance(c, Nominal):
-            names.add(c.individual)
-        elif isinstance(c, Existential):
-            names.add(c.role)
-            walk(c.filler)
-        elif isinstance(c, Conjunction):
-            for p in c.parts:
-                walk(p)
-
     for ax in axioms:
         if isinstance(ax, Gci):
-            walk(ax.lhs)
-            walk(ax.rhs)
+            names.update(name for c in (ax.lhs, ax.rhs) for name, _ in _concept_names(c))
         elif isinstance(ax, SubRole):
             names.update((ax.sub, ax.sup))
         elif isinstance(ax, RoleChain):
@@ -610,7 +602,8 @@ def normalize_tbox(
         else:
             rules.append(RSub(lhs, rhs))
 
-    for ax in axioms:
+    # a fixed order, so fresh names and rule order do not follow the hash seed
+    for ax in sorted(axioms, key=str):
         if isinstance(ax, Gci):
             norm(ax.lhs, ax.rhs)
         elif isinstance(ax, SubRole):

@@ -15,8 +15,11 @@ names), and the resulting subsumptions join the ground subclass rules.  Role
 atoms themselves are only ever derived between named individuals; no
 anonymous individuals are introduced.
 
-Inconsistency has exactly two sources: Bottom becomes derivable for some
-individual, or two individuals asserted distinct end up merged.  An
+Every closure runs to its fixpoint; inconsistency is read once, after the
+worklist empties.  It has exactly two sources: Bottom (an ordinary stored
+atom) is derived for some individual, or two individuals asserted distinct
+end up merged.  The least fixpoint does not depend on derivation order, so
+the atoms, merged groups and witness do not depend on ``PYTHONHASHSEED``.  An
 inconsistent closure entails every atom and its atom sets are not meant for
 downstream use.
 """
@@ -440,15 +443,8 @@ def materialize(tbox, abox) -> EntailmentClosure:
     by_ind: dict[str, set[str]] = {}
     role_out: dict[tuple[str, str], set[str]] = {}
     role_in: dict[tuple[str, str], set[str]] = {}
-    # known before any merge, so that every merge checks all of them
-    inequalities = [(ax.a, ax.b) for ax in axioms if isinstance(ax, Inequality)]
-    state = {"inconsistent": False, "witness": None, "insertions": 0}
+    insertions = 0
     work: list[tuple] = []
-
-    def fail(witness: str) -> None:
-        state["inconsistent"] = True
-        if state["witness"] is None:
-            state["witness"] = witness
 
     def mention(x: str) -> None:
         if x in uf.parent:
@@ -470,26 +466,19 @@ def materialize(tbox, abox) -> EntailmentClosure:
         if res is None:
             return
         kept, absorbed = res
-        moved_c = [(k, i) for (k, i) in class_atoms if i == absorbed]
-        moved_r = [t for t in role_atoms if t[1] == absorbed or t[2] == absorbed]
-        for k, i in moved_c:
-            class_atoms.discard((k, i))
-            by_ind.get(i, set()).discard(k)
+        for k in by_ind.pop(absorbed, ()):
+            class_atoms.discard((k, absorbed))
             push_class(k, kept)
+        moved_r = [t for t in role_atoms if t[1] == absorbed or t[2] == absorbed]
         for role, s, o in moved_r:
             role_atoms.discard((role, s, o))
             role_out.get((role, s), set()).discard(o)
             role_in.get((role, o), set()).discard(s)
             push_role(role, s, o)
-        for p, q in inequalities:
-            if uf.find(p) == uf.find(q):
-                fail(f"{p} and {q} asserted distinct but derived equal")
 
     def add_class(key: str, x: str) -> None:
+        nonlocal insertions
         if key == _TOP:
-            return
-        if key == _BOT:
-            fail(f"Bottom derived for {x}")
             return
         if key.startswith("{"):
             merge(x, key[1:])
@@ -498,7 +487,7 @@ def materialize(tbox, abox) -> EntailmentClosure:
         if atom in class_atoms:
             return
         class_atoms.add(atom)
-        state["insertions"] += 1
+        insertions += 1
         by_ind.setdefault(x, set()).add(key)
         for b in rules.sub_by_lhs.get(key, ()):
             push_class(b, x)
@@ -513,11 +502,12 @@ def materialize(tbox, abox) -> EntailmentClosure:
                 push_class(b, a)
 
     def add_role(role: str, a: str, b: str) -> None:
+        nonlocal insertions
         atom = (role, a, b)
         if atom in role_atoms:
             return
         role_atoms.add(atom)
-        state["insertions"] += 1
+        insertions += 1
         role_out.setdefault((role, a), set()).add(b)
         role_in.setdefault((role, b), set()).add(a)
         for s in rules.role_sups.get(role, ()):
@@ -547,7 +537,7 @@ def materialize(tbox, abox) -> EntailmentClosure:
             if isinstance(c, Top):
                 continue
             if isinstance(c, Bottom):
-                fail(f"Bottom asserted for {x}")
+                push_class(_BOT, x)
             elif isinstance(c, Atomic):
                 push_class(c.name, x)
             elif isinstance(c, Nominal):
@@ -577,7 +567,7 @@ def materialize(tbox, abox) -> EntailmentClosure:
         else:
             raise OntologyError(f"not an ABox axiom: {ax}")
 
-    while work and not state["inconsistent"]:
+    while work:
         item = work.pop()
         if item[0] == "c":
             _, key, x = item
@@ -590,18 +580,30 @@ def materialize(tbox, abox) -> EntailmentClosure:
     n_names = max(len(uf.parent), 1)
     bound = len(rules.concept_keys | {k for k, _ in class_atoms}) * n_names
     bound += max(len(rules.roles | {r for r, _, _ in role_atoms}), 1) * n_names * n_names
-    assert state["insertions"] <= max(bound, 1), "closure exceeded its atom universe"
+    assert insertions <= max(bound, 1), "closure exceeded its atom universe"
+
+    # the one contradiction check: at the fixpoint atoms sit on canonical
+    # names, and the least name makes the witness order-independent
+    bottoms = [x for key, x in class_atoms if key == _BOT]
+    clashes = [(ax.a, ax.b) for ax in axioms if isinstance(ax, Inequality)]
+    clashes = [(p, q) for p, q in clashes if uf.find(p) == uf.find(q)]
+    witness = None
+    if bottoms:
+        witness = f"Bottom derived for {min(bottoms)}"
+    elif clashes:
+        p, q = min(clashes)
+        witness = f"{p} and {q} asserted distinct but derived equal"
 
     canon = {x: uf.find(x) for x in uf.parent if uf.find(x) != x}
     return EntailmentClosure(
-        inconsistent=state["inconsistent"],
+        inconsistent=witness is not None,
         class_atoms=frozenset(class_atoms),
         role_atoms=frozenset(role_atoms),
         merged=uf.groups(),
         individuals=individuals,
         fresh=ntbox.fresh | minted,
-        insertions=state["insertions"],
-        inconsistency_witness=state["witness"],
+        insertions=insertions,
+        inconsistency_witness=witness,
         _canon=canon,
     )
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -122,6 +125,77 @@ def test_inconsistency_bottom_and_inequality():
     assert is_consistent(normalize_tbox(ont.tbox), ont.abox)
     constraints = parse_ontology("SubClassOf(And(Carrier HeavySnow) Bottom)").tbox
     assert is_consistent(normalize_tbox(ont.tbox), ont.abox, constraints)
+
+
+@pytest.mark.parametrize(
+    "doc, witness",
+    [
+        (
+            "SubClassOf(A Bottom)\nClassAssert(A y)\nClassAssert(A x)\nClassAssert(A z)",
+            "Bottom derived for x",
+        ),
+        (
+            "SameInd(c d)\nDiffInd(c d)\nSameInd(a b)\nDiffInd(a b)\nDiffInd(a e)",
+            "a and b asserted distinct but derived equal",
+        ),
+        # Bottom needs A and B together, which z only meets once C(z) merges
+        # it into a, the kept (least) name
+        (
+            "SubClassOf(C Nom(a))\nSubClassOf(And(A B) Bottom)\n"
+            "ClassAssert(A a)\nClassAssert(And(B C) z)",
+            "Bottom derived for a",
+        ),
+        ("ClassAssert(A x)\nClassAssert(Bottom x)", "Bottom derived for x"),
+    ],
+    ids=["least-bottom", "least-clash", "bottom-after-merge", "asserted-bottom"],
+)
+def test_witness_is_read_off_the_fixpoint(doc, witness):
+    clo = _closure(doc)
+    assert clo.inconsistent
+    assert clo.inconsistency_witness == witness
+    assert clo.entails(Entailment.parse("Anything(atall)"))
+    assert clo.entails(Entailment.parse("r(x,nowhere)"))
+
+
+_CLOSURE_DUMP = """\
+import json
+from genont import random_instance
+from transferlens.ontology import normalize_tbox
+from transferlens.reasoner import materialize
+for named_rhs in (False, True):
+    for seed in range(4000):
+        tbox, abox = random_instance(seed, named_rhs=named_rhs)
+        clo = materialize(normalize_tbox(tbox), abox)
+        print(json.dumps([
+            named_rhs, seed, clo.inconsistent, clo.inconsistency_witness,
+            sorted(sorted(g) for g in clo.merged), clo.to_lines(),
+            sorted(clo.class_atoms), sorted(clo.role_atoms),
+        ]))
+"""
+
+
+def test_closures_ignore_the_hash_seed():
+    # set iteration order follows PYTHONHASHSEED; a closure read off its
+    # fixpoint must not.  insertions is left out: it counts work, re-adds
+    # after merges included, and that still follows derivation order
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _CLOSURE_DUMP],
+            env={**env, "PYTHONHASHSEED": hash_seed},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for hash_seed in ("0", "1")
+    ]
+    outs = [proc.communicate() for proc in procs]
+    for proc, (_, err) in zip(procs, outs):
+        assert proc.returncode == 0, err
+    first, second = (out.splitlines() for out, _ in outs)
+    assert len(first) == len(second) == 8000
+    differ = [a for a, b in zip(first, second) if a != b]
+    assert not differ, f"{len(differ)} closures differ; first: {differ[0][:300]}"
 
 
 def test_merge_cascade():
