@@ -21,7 +21,12 @@ mines its roots itself with its own config, so ``roots/`` is output only.
 Exit codes: 0 success, 1 usage errors, 2 data errors.  Tuning values come
 from flags first, then a ``key = value`` config file, then defaults; the
 tuning keys are the fields of MiningParams, TrainConfig and SearchConfig
-(less ``early_stop``) plus the index weights.
+(less ``early_stop``) plus the index weights.  MiningParams lives in
+:mod:`.mining` and the other two in :mod:`.config`; none of these modules
+loads numpy, and every stage builds all three before it reads the corpus,
+so a value any stage would refuse is a data error everywhere.  The modules
+that compute with numpy (harness, evidence, contexts, report) are imported
+inside the commands that use them, so the knowledge stages never load it.
 """
 
 from __future__ import annotations
@@ -31,28 +36,13 @@ import sys
 from dataclasses import fields, make_dataclass, replace
 from pathlib import Path
 
+from .config import SearchConfig, TrainConfig
 from .corpus import Corpus, load_corpus
-from .contexts import SearchConfig, core_context_search
 from .errors import DataError, UsageError
-from .evidence import (
-    CoreContext,
-    FactorKind,
-    GeneralFactor,
-    ParticularNarrator,
-    correlative_reason,
-)
-from .harness import (
-    TrainConfig,
-    fti_from_records,
-    fti_matrix,
-    records_from_csv,
-    records_to_csv,
-)
 from .kb import FileKbAdapter, HttpKbAdapter, VocabularyMapping, import_external
 from .mining import MiningParams, mine_roots
 from .ontology import axioms_to_text, parse_abox
 from .reasoner import Entailment
-from .report import build_report, rank_key, render_result, sort_results
 
 # early_stop trades speed for an exhaustive scan; it stays a library-only switch
 PipelineConfig = make_dataclass(
@@ -109,7 +99,11 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    """Defaults, overridden by the config file, overridden by flags."""
+    """Defaults, overridden by the config file, overridden by flags.
+
+    Every sub-config is built here, whichever stage runs, so a value that
+    any stage would refuse fails before the corpus is read.
+    """
     cfg = PipelineConfig()
     if getattr(args, "config", None):
         cfg = replace(cfg, **load_config_file(args.config))
@@ -118,7 +112,10 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         for name in _CFG_DEFAULTS
         if getattr(args, name, None) is not None
     }
-    return replace(cfg, **flags)
+    cfg = replace(cfg, **flags)
+    for cls in (MiningParams, TrainConfig, SearchConfig):
+        _sub_config(cfg, cls)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +149,8 @@ def _load_corpus(args, outdir: Path | None) -> Corpus:
 
 
 def _load_fti(args, cfg: PipelineConfig, outdir: Path, domains) -> dict:
+    from .harness import fti_from_records, records_from_csv
+
     csv_path = Path(args.auc_csv or outdir / "fti" / "auc.csv")
     if not csv_path.exists():
         raise DataError(
@@ -167,6 +166,8 @@ def _load_fti(args, cfg: PipelineConfig, outdir: Path, domains) -> dict:
 
 def parse_evidence(text: str):
     """d_new/d_obs/d_inv, one entailment, or a '+'-joined context."""
+    from .evidence import CoreContext, GeneralFactor, ParticularNarrator
+
     text = text.strip()
     if text in ("d_new", "d_obs", "d_inv"):
         return GeneralFactor.parse(text)
@@ -275,6 +276,8 @@ def cmd_import_external(args, cfg: PipelineConfig, outdir: Path) -> int:
 
 
 def cmd_fti(args, cfg: PipelineConfig, outdir: Path) -> int:
+    from .harness import fti_from_records, fti_matrix, records_from_csv, records_to_csv
+
     if args.auc_csv:
         records = records_from_csv(args.auc_csv)
         fti = fti_from_records(records, cfg.omega1, cfg.omega2)
@@ -296,13 +299,15 @@ def cmd_fti(args, cfg: PipelineConfig, outdir: Path) -> int:
 
 
 def cmd_explain(args, cfg: PipelineConfig, outdir: Path) -> int:
-    search = _sub_config(cfg, SearchConfig)  # validates the thresholds as report does
+    from .evidence import correlative_reason
+    from .report import render_result
+
     corpus = _load_corpus(args, outdir)
     fti = _load_fti(args, cfg, outdir, corpus.domains)
     evidence = parse_evidence(args.evidence)
     res = correlative_reason(
         corpus.domains, evidence, fti,
-        epsilon=search.epsilon, alpha=search.alpha, n_min=search.n_min,
+        epsilon=cfg.epsilon, alpha=cfg.alpha, n_min=cfg.n_min,
     )
     print(render_result(res))
     print(
@@ -319,6 +324,10 @@ def _result_row(res, cover: int | None) -> str:
 
 
 def cmd_report(args, cfg: PipelineConfig, outdir: Path) -> int:
+    from .contexts import core_context_search
+    from .evidence import FactorKind, GeneralFactor, ParticularNarrator
+    from .report import build_report, rank_key, sort_results
+
     domains = _load_corpus(args, outdir).domains
     fti = _load_fti(args, cfg, outdir, domains)
     # the scan's evidence space and universe serve the other two tables too

@@ -32,24 +32,11 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
+from .config import SearchConfig
 from .domain import LearningDomain, membership_masks
 from .errors import DataError
-from .evidence import CoreContext, EvidenceResult, EvidenceSpace, check_thresholds
+from .evidence import CoreContext, EvidenceResult, EvidenceSpace
 from .reasoner import Entailment
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    max_dim: int = 4
-    epsilon: float = 0.1
-    alpha: float = 0.05
-    n_min: int = 3
-    early_stop: bool = True
-
-    def __post_init__(self):
-        if self.max_dim < 2:
-            raise DataError(f"max_dim must be at least 2, got {self.max_dim}")
-        check_thresholds(self.epsilon, self.alpha)
 
 
 @dataclass

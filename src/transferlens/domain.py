@@ -9,7 +9,9 @@ closures are computed.
 
 Feature encoding is bag-of-entailments: one bit per vocabulary entailment,
 plus a dense block of numeric value properties (roles whose objects are
-finite numbers, averaged per LSO).
+finite numbers, averaged per LSO).  Only the encoder functions import
+numpy, so the knowledge stages, which use closures and masks alone, never
+load it.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import date
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DataError
 from .ontology import ABoxAxiom, NormalizedTBox
 from .reasoner import Entailment, EntailmentClosure, materialize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,8 @@ class LearningDomain:
         return frozenset(out)
 
     def labels(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [1 if c.entails(self.target) else 0 for c in self.lso_closures()],
             dtype=np.int64,
@@ -150,6 +156,8 @@ class FeatureVector:
 
     @property
     def x(self) -> np.ndarray:
+        import numpy as np
+
         return np.concatenate([self.bits, self.values])
 
 
@@ -164,6 +172,8 @@ def boe_encode(
     Refuses inconsistent LSOs: a contradictory observation entails
     everything and would poison the encoding silently.
     """
+    import numpy as np
+
     closure = domain.lso_closures()[index]
     if closure.inconsistent:
         raise DataError(
@@ -193,6 +203,8 @@ def encode_dataset(
     value_props: tuple[str, ...] = (),
 ) -> tuple[np.ndarray, np.ndarray]:
     """All LSOs of a domain as a feature matrix and label vector."""
+    import numpy as np
+
     fvs = [boe_encode(domain, i, vocab, value_props) for i in range(len(domain.lsos))]
     X = np.stack([fv.x for fv in fvs])
     y = np.array([fv.label for fv in fvs], dtype=np.int64)
@@ -208,6 +220,8 @@ def split_indices(
     (train on the past, test on the future); otherwise it is a seeded
     shuffle.  ``train_frac`` of the LSOs, rounded up, go to training.
     """
+    import numpy as np
+
     if not 0.0 < train_frac < 1.0:
         raise DataError(f"train_frac must be in (0, 1), got {train_frac}")
     n = len(domain.lsos)

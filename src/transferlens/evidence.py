@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import check_thresholds
 from .domain import LearningDomain, membership_masks
 from .errors import DataError
 from .reasoner import Entailment
@@ -172,14 +173,6 @@ class EvidenceResult:
     n: int
     valid: bool
     reason: str | None = None
-
-
-def check_thresholds(epsilon: float, alpha: float) -> None:
-    """Validity thresholds: epsilon in [0, 1], alpha in (0, 1); NaN fails both."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise DataError(f"epsilon must be in [0, 1], got {epsilon}")
-    if not 0.0 < alpha < 1.0:
-        raise DataError(f"alpha must be in (0, 1), got {alpha}")
 
 
 @dataclass

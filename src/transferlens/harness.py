@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import csv
 import logging
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TrainConfig
 from .domain import (
     LearningDomain,
     build_vocabulary,
@@ -47,35 +47,6 @@ from .domain import (
 from .errors import DataError
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    hidden: int = 16
-    epochs: int = 200
-    lr: float = 0.05
-    batch_size: int = 16
-    ensemble: int = 10
-    train_frac: float = 0.8
-    seed: int = 0
-
-    def __post_init__(self):
-        # the stack shapes come from these, so a float or a bool must not
-        # get as far as numpy
-        for key in ("hidden", "epochs", "batch_size", "ensemble", "seed"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DataError(f"{key} must be an integer, got {value!r}")
-        if self.hidden < 1 or self.epochs < 1 or self.batch_size < 1:
-            raise DataError("hidden, epochs and batch_size must be positive")
-        if not 0.0 < self.lr < np.inf:  # NaN fails this test too
-            raise DataError(f"learning rate must be positive and finite, got {self.lr}")
-        if self.ensemble < 1:
-            raise DataError(f"ensemble must be positive, got {self.ensemble}")
-        if not 0.0 < self.train_frac < 1.0:  # NaN fails this test too
-            raise DataError(f"train_frac must be in (0, 1), got {self.train_frac}")
-        if self.seed < 0:
-            raise DataError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

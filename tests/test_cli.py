@@ -409,6 +409,32 @@ def test_fti_rejects_a_nan_auc(corpus_dir, tmp_path, capsys):
     assert not (out / "fti").exists()
 
 
+@pytest.mark.parametrize(
+    "stage", ["materialize", "mine-roots", "import-external", "fti", "report", "explain"]
+)
+def test_every_stage_refuses_any_bad_tuning_value_before_reading(
+    stage, tmp_path, monkeypatch, capsys
+):
+    # a value only another stage uses still fails here, before the corpus is read
+    def refuse(path):
+        raise AssertionError(f"{stage} read the corpus")
+
+    monkeypatch.setattr(cli, "load_corpus", refuse)
+    out = tmp_path / "o"
+    argv = [stage, "--corpus", str(MINI_FLIGHTS), "--outdir", str(out)]
+    if stage == "explain":
+        argv += ["--evidence", "d_obs"]
+    capsys.readouterr()
+    for flag, message in (
+        (["--lr", "nan"], "learning rate must be positive and finite, got nan"),
+        (["--max-dim", "1"], "max_dim must be at least 2, got 1"),
+        (["--epsilon", "2"], "epsilon must be in [0, 1], got 2.0"),
+    ):
+        assert main(argv + flag) == 2, flag
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
 def test_fti_rejects_a_divergent_learning_rate(corpus_dir, tmp_path, capsys):
     out = tmp_path / "o"
@@ -451,18 +477,27 @@ for argv in stages:
     except SystemExit as exc:
         if exc.code:
             raise
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
 """
 
 
-def _scipy_modules_after(stages, outdir):
-    """The scipy modules loaded by running ``stages`` in one fresh process."""
+def _modules_after(stages, outdir):
+    """The numpy and scipy modules loaded by running ``stages`` in one
+    fresh process, keyed by package."""
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_STAGES, str(MINI_FLIGHTS), str(outdir), json.dumps(stages)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    return {top: {m for m in loaded if m.split(".")[0] == top} for top in ("numpy", "scipy")}
+
+
+def test_knowledge_stages_load_no_numpy(tmp_path):
+    # parsing, closures, mining and the gated import compute nothing with numpy
+    stages = [["materialize"], ["mine-roots"], ["import-external"]]
+    loaded = _modules_after(stages, tmp_path / "out")
+    assert loaded == {"numpy": set(), "scipy": set()}
 
 
 def test_knowledge_stages_and_auc_ingestion_load_no_scipy(tmp_path):
@@ -473,12 +508,12 @@ def test_knowledge_stages_and_auc_ingestion_load_no_scipy(tmp_path):
         "B1,A1,0.5,0.52,0.66\n"
     )
     stages = [["materialize"], ["mine-roots"], ["import-external"], ["fti", "--auc-csv", str(csv)]]
-    assert _scipy_modules_after(stages, tmp_path / "out") == set()
+    assert _modules_after(stages, tmp_path / "out")["scipy"] == set()
 
 
 def test_training_and_report_load_no_scipy_stats(tmp_path):
     stages = [["fti", "--epochs", "2", "--ensemble", "1"], ["report"]]
-    loaded = _scipy_modules_after(stages, tmp_path / "out")
+    loaded = _modules_after(stages, tmp_path / "out")["scipy"]
     assert "scipy.special" in loaded
     assert "scipy.stats" not in loaded
 
