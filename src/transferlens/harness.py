@@ -25,12 +25,20 @@ each domain's ensemble as one ``train_within`` stack (S = 1) and each
 destination's hard or soft transfers as one ``transfer`` stack over all
 other domains' ensembles; ``evaluate_pair`` fits every model as its own
 1 x 1 stack and is the reference the matrix must match.
+
+``fti_matrix`` splits the seeds into one contiguous chunk per process:
+``min(usable CPUs, ensemble)`` processes, the calling one and workers
+forked from it, each fitting every stack over its own chunk.  The per-seed
+AUCs are joined in seed order before the mean is taken, so the records do
+not depend on the number of processes.  Where the affinity mask allows one
+CPU (``taskset -c 0``), or the platform cannot fork, it runs serially.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -340,10 +348,11 @@ def _train_split(ds: DomainDataset) -> tuple[np.ndarray, np.ndarray]:
     return ds.x[ds.train], ds.y[ds.train]
 
 
-def _mean_auc(stack: Model, ds: DomainDataset) -> list[float]:
-    """Test-split AUC on ``ds`` of each source of a stack, the mean over its seeds."""
+def _seed_aucs(stack: Model, ds: DomainDataset) -> list[list[float]]:
+    """Test-split AUCs on ``ds`` of every network of a stack, one list of
+    per-seed AUCs per source."""
     xt, yt = ds.x[ds.test], ds.y[ds.test]
-    return [float(np.mean([auc(yt, p) for p in row])) for row in predict_proba(stack, xt)]
+    return [[auc(yt, p) for p in row] for row in predict_proba(stack, xt)]
 
 
 def evaluate_pair(
@@ -365,9 +374,77 @@ def evaluate_pair(
         for mode in ("hard", "soft")
     )
     base_auc, hard_auc, soft_auc = (
-        float(np.mean([_mean_auc(m, dst)[0] for m in models])) for models in (base, hard, soft)
+        float(np.mean([_seed_aucs(m, dst)[0][0] for m in models]))
+        for models in (base, hard, soft)
     )
     return TransferRecord(src.id, dst.id, base_auc, hard_auc, soft_auc)
+
+
+def _matrix_aucs(
+    datasets: list[DomainDataset], cfg: TrainConfig, seeds: Sequence[int]
+) -> dict[tuple[int, int, str], list[float]]:
+    """Per-seed test AUCs of every model the matrix needs, over ``seeds``.
+
+    Key ``(i, j, mode)`` holds the AUCs on dataset j of dataset i's
+    ensemble adapted to j in ``hard`` or ``soft`` mode, and ``(j, j,
+    "base")`` those of j's own ensemble, one per seed in order.
+    """
+    ensembles = [train_within(*_train_split(d), cfg, seeds) for d in datasets]
+    aucs = {
+        (j, j, "base"): _seed_aucs(stack, d)[0]
+        for j, (stack, d) in enumerate(zip(ensembles, datasets))
+    }
+    for j, dst in enumerate(datasets):
+        others = [i for i in range(len(datasets)) if i != j]
+        for mode in ("hard", "soft"):
+            # one stack alive at a time: it is dropped before the next is fit
+            stack = transfer(
+                [ensembles[i] for i in others], *_train_split(dst), cfg, seeds, mode
+            )
+            for i, row in zip(others, _seed_aucs(stack, dst)):
+                aucs[i, j, mode] = row
+            del stack
+    return aucs
+
+
+def _workers(n_seeds: int) -> int:
+    """Processes to share an ensemble of ``n_seeds``: one per usable CPU,
+    at most one per seed, and one where affinity or fork is unavailable."""
+    import multiprocessing  # here, not at the top: `report` and `explain` never fork
+
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    if not forks or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_seeds)
+
+
+def _chunks(seeds: list[int], n: int) -> list[list[int]]:
+    """``seeds`` cut into ``n`` contiguous chunks, the larger ones first."""
+    q, r = divmod(len(seeds), n)
+    cuts = [k * q + min(k, r) for k in range(n + 1)]
+    return [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _chunk_aucs(
+    datasets: list[DomainDataset], cfg: TrainConfig, chunks: list[list[int]]
+) -> list[dict[tuple[int, int, str], list[float]]]:
+    """``_matrix_aucs`` of each chunk, in order.  This process computes the
+    first chunk while forked workers compute the others."""
+    if len(chunks) == 1:
+        return [_matrix_aucs(datasets, cfg, chunks[0])]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    import scipy.special  # noqa: F401  (loaded before the fork, not once per worker)
+
+    # fork, not spawn: a spawned worker would import numpy and this package
+    # again.  A fork-context pool forks all its workers before it starts
+    # its own thread.
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(len(chunks) - 1, mp_context=fork) as pool:
+        futures = [pool.submit(_matrix_aucs, datasets, cfg, c) for c in chunks[1:]]
+        first = _matrix_aucs(datasets, cfg, chunks[0])
+        return [first] + [f.result() for f in futures]
 
 
 def fti_matrix(
@@ -385,26 +462,23 @@ def fti_matrix(
     ``(s, k)`` starting from source s's seed-k model.  Every slot is
     bit-identical to the model ``evaluate_pair`` fits alone, so the records,
     written in ``(source, target)`` order, match it on every pair.
+
+    The seeds are cut into one contiguous chunk per process (``_workers``),
+    and each chunk fits all those stacks over its own seeds.  Each AUC is
+    the mean of the per-seed AUCs of all chunks joined in seed order: the
+    same list, in the same order, whatever the number of chunks.
     """
     check_weights(omega1, omega2)
     datasets = prepare_datasets(domains, cfg)
     seeds = _seed_list(cfg)
-    ensembles = [train_within(*_train_split(d), cfg, seeds) for d in datasets]
-    bases = [_mean_auc(stack, d)[0] for stack, d in zip(ensembles, datasets)]
-    transferred: dict[tuple[int, int, str], float] = {}
-    for j, dst in enumerate(datasets):
-        others = [i for i in range(len(datasets)) if i != j]
-        for mode in ("hard", "soft"):
-            # one stack alive at a time: it is dropped before the next is fit
-            stack = transfer(
-                [ensembles[i] for i in others], *_train_split(dst), cfg, seeds, mode
-            )
-            for i, mean in zip(others, _mean_auc(stack, dst)):
-                transferred[i, j, mode] = mean
-            del stack
+    parts = _chunk_aucs(datasets, cfg, _chunks(seeds, _workers(len(seeds))))
+
+    def mean(i: int, j: int, mode: str) -> float:
+        return float(np.mean([a for part in parts for a in part[i, j, mode]]))
+
     records = [
         TransferRecord(
-            src.id, dst.id, bases[j], transferred[i, j, "hard"], transferred[i, j, "soft"]
+            src.id, dst.id, mean(j, j, "base"), mean(i, j, "hard"), mean(i, j, "soft")
         )
         for i, src in enumerate(datasets)
         for j, dst in enumerate(datasets)

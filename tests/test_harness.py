@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import os
+from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -389,6 +393,10 @@ def test_matrix_matches_independent_pair_evaluation():
         assert fti[(r.source, r.target)] == r.fti(1.0, 1.0)
 
 
+def _one_worker(n_seeds):
+    return 1
+
+
 def test_matrix_trains_each_ensemble_once_and_transfers_it_per_seed(monkeypatch):
     trained, transfers = [], []
     real_train, real_transfer = harness.train_within, harness.transfer
@@ -405,6 +413,8 @@ def test_matrix_trains_each_ensemble_once_and_transfers_it_per_seed(monkeypatch)
 
     monkeypatch.setattr(harness, "train_within", train_spy)
     monkeypatch.setattr(harness, "transfer", transfer_spy)
+    # the spies see this process only; the forked path is tested below
+    monkeypatch.setattr(harness, "_workers", _one_worker)
     domains = _domains()
     fti_matrix(domains, FAST)
     seeds = [FAST.seed + k for k in range(FAST.ensemble)]
@@ -432,6 +442,77 @@ def test_matrix_trains_each_ensemble_once_and_transfers_it_per_seed(monkeypatch)
                 for field in _WEIGHTS:
                     assert np.array_equal(getattr(stack, field)[s, k], getattr(alone, field)[0, 0])
     assert seen == {(j, mode) for j in range(3) for mode in ("hard", "soft")}
+
+
+def test_matrix_does_not_depend_on_the_worker_count(monkeypatch):
+    cfg = TrainConfig(hidden=4, epochs=20, lr=0.1, batch_size=8, ensemble=3)
+    results = {}
+    for n in (1, 2, 3):
+        monkeypatch.setattr(harness, "_workers", lambda n_seeds, n=n: n)
+        results[n] = fti_matrix(_domains(), cfg)
+        assert multiprocessing.active_children() == []
+    assert results[2] == results[1] and results[3] == results[1]
+
+
+def test_workers_cap_at_the_ensemble_and_split_the_seeds(monkeypatch, tmp_path):
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert [harness._workers(n) for n in (1, 2, 3, 7)] == [1, 2, 3, 3]
+    assert harness._chunks(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
+    trained, log = [], tmp_path / "transfers.log"
+    real_train, real_transfer = harness.train_within, harness.transfer
+
+    def train_spy(x, y, cfg, seeds):
+        trained.append(list(seeds))
+        return real_train(x, y, cfg, seeds)
+
+    def transfer_spy(sources, x, y, cfg, seeds, mode):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {list(seeds)}\n")
+        return real_transfer(sources, x, y, cfg, seeds, mode)
+
+    monkeypatch.setattr(harness, "train_within", train_spy)
+    monkeypatch.setattr(harness, "transfer", transfer_spy)
+    got = fti_matrix(_domains(), FAST)
+    # ensemble 2 on three CPUs: two chunks of one seed, the first one here
+    assert trained == [[FAST.seed]] * 3
+    calls = Counter(log.read_text().splitlines())
+    assert calls[f"{os.getpid()} [{FAST.seed}]"] == 6
+    (other,) = [c for c in calls if not c.startswith(f"{os.getpid()} ")]
+    assert other.endswith(f" [{FAST.seed + 1}]") and calls[other] == 6
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(harness, "_workers", _one_worker)
+    monkeypatch.setattr(harness, "train_within", real_train)
+    monkeypatch.setattr(harness, "transfer", real_transfer)
+    assert got == fti_matrix(_domains(), FAST)
+
+
+def _failing_in_a_worker(monkeypatch, fail):
+    real_transfer = harness.transfer
+
+    def transfer_spy(sources, x, y, cfg, seeds, mode):
+        if seeds[0] != cfg.seed:
+            fail()
+        return real_transfer(sources, x, y, cfg, seeds, mode)
+
+    monkeypatch.setattr(harness, "transfer", transfer_spy)
+    monkeypatch.setattr(harness, "_workers", lambda n_seeds: 2)
+
+
+def test_a_data_error_in_a_worker_reaches_the_caller(monkeypatch):
+    def fail():
+        raise DataError("scores must be finite in a worker")
+
+    _failing_in_a_worker(monkeypatch, fail)
+    with pytest.raises(DataError, match="^scores must be finite in a worker$"):
+        fti_matrix(_domains(), FAST)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_fails_the_matrix(monkeypatch):
+    _failing_in_a_worker(monkeypatch, lambda: os._exit(1))
+    with pytest.raises(BrokenProcessPool):
+        fti_matrix(_domains(), FAST)
+    assert multiprocessing.active_children() == []
 
 
 def test_fti_from_records_applies_weights():
