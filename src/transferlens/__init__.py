@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it provides
 _EXPORTS = {
-    "config": ("SearchConfig", "TrainConfig"),
+    "config": ("MiningParams", "SearchConfig", "TrainConfig"),
     "contexts": (
         "CoreContextScan", "SearchStats", "SyncClusters", "core_context_search",
         "early_stop", "fast_extend", "sync_clusters",
@@ -45,8 +45,8 @@ _EXPORTS = {
         "VocabularyMapping", "extract_axioms", "import_external",
     ),
     "mining": (
-        "MiningParams", "RootSet", "effective_subsets", "frequent_entailments",
-        "mine_roots", "root_individuals",
+        "RootSet", "effective_subsets", "frequent_entailments", "mine_roots",
+        "root_individuals",
     ),
     "ontology": (
         "Atomic", "ClassAssertion", "Conjunction", "Equality", "Existential", "Gci",

@@ -20,54 +20,32 @@ mines its roots itself with its own config, so ``roots/`` is output only.
 
 Exit codes: 0 success, 1 usage errors, 2 data errors.  Tuning values come
 from flags first, then a ``key = value`` config file, then defaults; the
-tuning keys are the fields of MiningParams, TrainConfig and SearchConfig
-(less ``early_stop``) plus the index weights.  MiningParams lives in
-:mod:`.mining` and the other two in :mod:`.config`; none of these modules
-loads numpy, and every stage builds all three before it reads the corpus,
-so a value any stage would refuse is a data error everywhere.  The modules
-that compute with numpy (harness, evidence, contexts, report) are imported
-inside the commands that use them, so the knowledge stages never load it.
+tuning keys are the fields of :class:`.config.PipelineConfig`.  Every stage
+makes one before it reads the corpus, and making one checks every value,
+so a value any stage would refuse is a data error everywhere.  ``report``
+writes ``evidence/*.tsv`` from the rows :func:`.report.build_report` ranks.
+The modules that compute with numpy (harness, evidence, contexts, report)
+are imported inside the commands that use them, so the knowledge stages
+never load it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, make_dataclass, replace
+from dataclasses import fields
 from pathlib import Path
 
-from .config import SearchConfig, TrainConfig
+from .config import PipelineConfig
 from .corpus import Corpus, load_corpus
 from .errors import DataError, UsageError
 from .kb import FileKbAdapter, HttpKbAdapter, VocabularyMapping, import_external
-from .mining import MiningParams, mine_roots
+from .mining import mine_roots
 from .ontology import axioms_to_text, parse_abox
 from .reasoner import Entailment
 
-# early_stop trades speed for an exhaustive scan; it stays a library-only switch
-PipelineConfig = make_dataclass(
-    "PipelineConfig",
-    [
-        (f.name, f.type, f.default)
-        for sub in (MiningParams, TrainConfig, SearchConfig)
-        for f in fields(sub)
-        if f.name != "early_stop"
-    ]
-    + [
-        ("omega1", float, 1.0),
-        ("omega2", float, 1.0),
-    ],
-    frozen=True,
-)
-
 _CFG_DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
 _FLOAT_FIELDS = {k for k, v in _CFG_DEFAULTS.items() if isinstance(v, float)}
-
-
-def _sub_config(cfg: PipelineConfig, cls):
-    """``cls`` (MiningParams, TrainConfig or SearchConfig) holding cfg's values."""
-    shared = [f.name for f in fields(cls) if f.name in _CFG_DEFAULTS]
-    return cls(**{name: getattr(cfg, name) for name in shared})
 
 
 def _coerce(key: str, value: str):
@@ -101,21 +79,16 @@ def load_config_file(path: str | Path) -> dict:
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     """Defaults, overridden by the config file, overridden by flags.
 
-    Every sub-config is built here, whichever stage runs, so a value that
-    any stage would refuse fails before the corpus is read.
+    Making the config checks every value, whichever stage runs, so a value
+    that any stage would refuse fails before the corpus is read.
     """
-    cfg = PipelineConfig()
-    if getattr(args, "config", None):
-        cfg = replace(cfg, **load_config_file(args.config))
-    flags = {
-        name: getattr(args, name)
+    values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    values.update(
+        (name, getattr(args, name))
         for name in _CFG_DEFAULTS
         if getattr(args, name, None) is not None
-    }
-    cfg = replace(cfg, **flags)
-    for cls in (MiningParams, TrainConfig, SearchConfig):
-        _sub_config(cfg, cls)
-    return cfg
+    )
+    return PipelineConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +171,7 @@ def cmd_materialize(args, cfg: PipelineConfig, outdir: Path) -> int:
 
 
 def cmd_mine_roots(args, cfg: PipelineConfig, outdir: Path) -> int:
-    params = _sub_config(cfg, MiningParams)
+    params = cfg.mining
     # the bare corpus, as in import-external, so that reruns mine the same roots
     for d in _load_corpus(args, None).domains:
         rs = mine_roots(d, params)
@@ -256,10 +229,9 @@ def cmd_import_external(args, cfg: PipelineConfig, outdir: Path) -> int:
     corpus = _load_corpus(args, None)
     adapter = _make_adapter(args, corpus)
     mapping = _make_mapping(args, corpus)
-    params = _sub_config(cfg, MiningParams)
     for d in corpus.domains:
         # mined with this stage's config: roots/ may hold another config's roots
-        roots = list(mine_roots(d, params).root_individuals)
+        roots = list(mine_roots(d, cfg.mining).root_individuals)
         axioms, audit = import_external(
             d, roots, adapter, mapping, constraints=corpus.constraints
         )
@@ -284,7 +256,7 @@ def cmd_fti(args, cfg: PipelineConfig, outdir: Path) -> int:
     else:
         records, fti = fti_matrix(
             _load_corpus(args, outdir).domains,
-            _sub_config(cfg, TrainConfig),
+            cfg.train,
             cfg.omega1,
             cfg.omega2,
         )
@@ -326,38 +298,29 @@ def _result_row(res, cover: int | None) -> str:
 def cmd_report(args, cfg: PipelineConfig, outdir: Path) -> int:
     from .contexts import core_context_search
     from .evidence import FactorKind, GeneralFactor, ParticularNarrator
-    from .report import build_report, rank_key, sort_results
+    from .report import build_report
 
     domains = _load_corpus(args, outdir).domains
     fti = _load_fti(args, cfg, outdir, domains)
     # the scan's evidence space and universe serve the other two tables too
-    scan = core_context_search(domains, fti, _sub_config(cfg, SearchConfig))
+    scan = core_context_search(domains, fti, cfg.search)
     space = scan.space
-    general = [space.score(GeneralFactor(k)) for k in FactorKind]
-    narrators = [space.score(ParticularNarrator(g)) for g in scan.clusters.universe]
-    # singleton representatives of singleton clusters cover no real context
-    contexts = [(res, cover) for _, res, cover in scan.rep_results() if cover > 0]
-
-    for name, ranked in (
-        ("general", [(r, None) for r in sort_results(general)]),
-        ("narrators", [(r, None) for r in sort_results(narrators)]),
-        ("contexts", sorted(contexts, key=lambda rc: rank_key(rc[0]))),
-    ):
-        cover = "\tcover" if name == "contexts" else ""
-        _write_lines(
-            outdir / "evidence" / f"{name}.tsv",
-            [f"evidence{cover}\tgamma\trho\tn\tvalid\treason"]
-            + [_result_row(r, c) for r, c in ranked],
-        )
-
     rep = build_report(
         [d.id for d in domains],
         n_pairs=len(space.pair_src),
         fti=fti,
-        general=general,
-        narrators=narrators,
-        contexts=contexts,
+        general=[space.score(GeneralFactor(k)) for k in FactorKind],
+        narrators=[space.score(ParticularNarrator(g)) for g in scan.clusters.universe],
+        # singleton representatives of singleton clusters cover no real context
+        contexts=[(res, cover) for _, res, cover in scan.rep_results() if cover > 0],
     )
+    for name, rows in rep.ranked.items():
+        cover = "\tcover" if name == "contexts" else ""
+        _write_lines(
+            outdir / "evidence" / f"{name}.tsv",
+            [f"evidence{cover}\tgamma\trho\tn\tvalid\treason"]
+            + [_result_row(r, c) for r, c in rows],
+        )
     _write(outdir / "report.txt", rep.text)
     _write(outdir / "report.json", rep.to_json() + "\n")
     stats = scan.stats

@@ -1,20 +1,44 @@
-"""Tuning dataclasses of the trainer and the evidence search.
+"""Every tuning value of the pipeline and the ranges it must lie in.
 
-``TrainConfig`` (used by :mod:`.harness`), ``SearchConfig`` (used by
-:mod:`.contexts`) and ``check_thresholds`` (used by :mod:`.evidence`) live
-here, apart from the numpy code that computes with them, so that the CLI
-can build and check every stage's config without loading numpy.  Each
-module that uses one still exports it.  ``MiningParams`` stays in
-:mod:`.mining`, which loads no numpy either.
+``MiningParams`` (used by :mod:`.mining`), ``TrainConfig`` and
+``check_weights`` (used by :mod:`.harness`), ``check_train_frac`` (used by
+:mod:`.domain`), ``SearchConfig`` (used by :mod:`.contexts`) and
+``check_thresholds`` (used by :mod:`.evidence`) live here, apart from the
+code that computes with them; each module that used one before it moved
+here still exports it.  ``PipelineConfig`` is the CLI's flat view: one
+field per tuning key, with the three sections built from it and the index
+weights checked as it is made, so every stage refuses every bad value
+before it reads the corpus, and without loading numpy.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, make_dataclass
 
 from .errors import DataError
+
+
+@dataclass(frozen=True)
+class MiningParams:
+    sigma: float = 0.99
+    kappa: int = 2
+    tau: float = 0.49
+    kappa_cap: int = 2
+
+    def __post_init__(self):
+        if not 0.0 < self.sigma <= 1.0:
+            raise DataError(f"sigma must be in (0, 1], got {self.sigma}")
+        if not 0.0 <= self.tau <= 2.0:
+            raise DataError(f"tau must be in [0, 2], got {self.tau}")
+        if self.kappa < 1:
+            raise DataError(f"kappa must be at least 1, got {self.kappa}")
+        if self.kappa > self.kappa_cap:
+            raise DataError(
+                f"kappa={self.kappa} exceeds the configured cap {self.kappa_cap}; "
+                f"raise kappa_cap deliberately if the blow-up is intended"
+            )
 
 
 @dataclass(frozen=True)
@@ -40,10 +64,14 @@ class TrainConfig:
             raise DataError(f"learning rate must be positive and finite, got {self.lr}")
         if self.ensemble < 1:
             raise DataError(f"ensemble must be positive, got {self.ensemble}")
-        if not 0.0 < self.train_frac < 1.0:  # NaN fails this test too
-            raise DataError(f"train_frac must be in (0, 1), got {self.train_frac}")
+        check_train_frac(self.train_frac)
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
+
+
+def check_train_frac(train_frac: float) -> None:
+    if not 0.0 < train_frac < 1.0:  # NaN fails this test too
+        raise DataError(f"train_frac must be in (0, 1), got {train_frac}")
 
 
 def check_thresholds(epsilon: float, alpha: float) -> None:
@@ -66,3 +94,37 @@ class SearchConfig:
         if self.max_dim < 2:
             raise DataError(f"max_dim must be at least 2, got {self.max_dim}")
         check_thresholds(self.epsilon, self.alpha)
+
+
+def check_weights(omega1: float, omega2: float) -> None:
+    """Index weights: each in [0, 1], not both zero; NaN fails."""
+    if not (0.0 <= omega1 <= 1.0 and 0.0 <= omega2 <= 1.0):
+        raise DataError(f"weights must lie in [0, 1], got {omega1}, {omega2}")
+    if omega1 + omega2 == 0.0:
+        raise DataError("weights must not both be zero")
+
+
+_SECTIONS = (("mining", MiningParams), ("train", TrainConfig), ("search", SearchConfig))
+
+
+def _tuning_fields(cls):
+    # early_stop trades speed for an exhaustive scan; it stays a library-only switch
+    return [f for f in fields(cls) if f.name != "early_stop"]
+
+
+def _post_init(cfg: "PipelineConfig") -> None:
+    for name, cls in _SECTIONS:
+        section = cls(**{f.name: getattr(cfg, f.name) for f in _tuning_fields(cls)})
+        object.__setattr__(cfg, name, section)
+    check_weights(cfg.omega1, cfg.omega2)
+
+
+# one field per tuning key; making one builds and checks the sections
+# ``mining``, ``train`` and ``search`` and checks the index weights
+PipelineConfig = make_dataclass(
+    "PipelineConfig",
+    [(f.name, f.type, f.default) for _, cls in _SECTIONS for f in _tuning_fields(cls)]
+    + [("omega1", float, 1.0), ("omega2", float, 1.0)],
+    namespace={"__post_init__": _post_init, "__module__": __name__},
+    frozen=True,
+)

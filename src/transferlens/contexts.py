@@ -97,10 +97,14 @@ class SearchStats:
     clusters: int = 0
     enumerable: int = 0
     evaluated: int = 0
-    inherited: int = 0
     early_stopped: int = 0
     covered: int = 0
     valid: int = 0
+
+    @property
+    def inherited(self) -> int:
+        """Covered contexts not scored: all but one per scored set of 2+ clusters."""
+        return self.covered - (self.evaluated - self.clusters)
 
     @property
     def prune_rate(self) -> float:
@@ -169,7 +173,6 @@ class CoreContextScan:
         cover = self._cover(profile)
         self.stats.evaluated += 1
         self.stats.covered += cover
-        self.stats.inherited += cover - (1 if len(idxs) >= 2 else 0)
         if res.valid:
             self.stats.valid += cover
         if len(idxs) >= self.cfg.max_dim:

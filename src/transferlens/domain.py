@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import TYPE_CHECKING
 
+from .config import check_train_frac
 from .errors import DataError
 from .ontology import ABoxAxiom, NormalizedTBox
 from .reasoner import Entailment, EntailmentClosure, materialize
@@ -222,8 +223,7 @@ def split_indices(
     """
     import numpy as np
 
-    if not 0.0 < train_frac < 1.0:
-        raise DataError(f"train_frac must be in (0, 1), got {train_frac}")
+    check_train_frac(train_frac)
     n = len(domain.lsos)
     dats = []
     for lso in domain.lsos:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import TrainConfig, check_weights
 from .domain import (
     LearningDomain,
     build_vocabulary,
@@ -295,13 +295,6 @@ class TransferRecord:
     def fti(self, omega1: float = 1.0, omega2: float = 1.0) -> float:
         check_weights(omega1, omega2)
         return (omega1 * self.fgi - omega2 * self.fsi) / (omega1 + omega2)
-
-
-def check_weights(omega1: float, omega2: float) -> None:
-    if not (0.0 <= omega1 <= 1.0 and 0.0 <= omega2 <= 1.0):
-        raise DataError(f"weights must lie in [0, 1], got {omega1}, {omega2}")
-    if omega1 + omega2 == 0.0:
-        raise DataError("weights must not both be zero")
 
 
 @dataclass

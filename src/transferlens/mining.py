@@ -18,30 +18,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .config import MiningParams
 from .domain import LearningDomain, membership_masks
 from .errors import DataError
 from .reasoner import Entailment
-
-
-@dataclass(frozen=True)
-class MiningParams:
-    sigma: float = 0.99
-    kappa: int = 2
-    tau: float = 0.49
-    kappa_cap: int = 2
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma <= 1.0:
-            raise DataError(f"sigma must be in (0, 1], got {self.sigma}")
-        if not 0.0 <= self.tau <= 2.0:
-            raise DataError(f"tau must be in [0, 2], got {self.tau}")
-        if self.kappa < 1:
-            raise DataError(f"kappa must be at least 1, got {self.kappa}")
-        if self.kappa > self.kappa_cap:
-            raise DataError(
-                f"kappa={self.kappa} exceeds the configured cap {self.kappa_cap}; "
-                f"raise kappa_cap deliberately if the blow-up is intended"
-            )
 
 
 @dataclass

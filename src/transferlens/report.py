@@ -1,10 +1,12 @@
-"""Plain-language rendering of evidence results.
+"""Ranking and plain-language rendering of evidence results.
 
-Each scored evidence item becomes one sentence stating what was measured,
-the direction of the association and the numbers behind it.  The assembled
-report has a text form for reading and a JSON form for machines; both are
-built from the same selection, and every valid selected result is rendered
-(nothing silently dropped).
+``rank_key`` is the one order of every evidence table: valid first, then
+|γ| descending, then the evidence text.  Each scored evidence item becomes
+one sentence stating what was measured, the direction of the association
+and the numbers behind it.  The assembled report has a text form for
+reading, a JSON form for machines and the ranked rows the CLI writes as
+``evidence/*.tsv``; all are built from the same selection, and every valid
+selected result is rendered (nothing silently dropped).
 """
 
 from __future__ import annotations
@@ -96,13 +98,31 @@ def _to_json(res: EvidenceResult, cover: int | None = None) -> dict:
     return out
 
 
+Row = tuple[EvidenceResult, int | None]
+
+
 @dataclass
 class Report:
+    """``ranked``: each table's (result, cover) rows in ``rank_key`` order."""
+
     text: str
     data: dict
+    ranked: dict[str, list[Row]]
 
     def to_json(self) -> str:
         return json.dumps(self.data, indent=2, sort_keys=True)
+
+
+def _ranked_section(title: str, summary: str, valid: list[Row], kind: str, max_listed) -> list[str]:
+    """A text section listing the valid rows in rank order, at most ``max_listed``."""
+    listed = valid if max_listed is None else valid[:max_listed]
+    lines = [f"{title} ({summary})", "-" * len(title)]
+    lines += [render_result(res, cover) for res, cover in listed]
+    if len(listed) < len(valid):
+        lines.append(f"... and {len(valid) - len(listed)} more in the JSON form.")
+    if not valid:
+        lines.append(f"(no valid {kind} evidence)")
+    return lines + [""]
 
 
 def build_report(
@@ -117,10 +137,16 @@ def build_report(
     """Assemble the report from scored evidence.
 
     ``contexts`` entries carry the number of concrete synchronized contexts
-    each representative stands for.  ``max_listed`` caps the narrator and
-    context sections of the text form; the JSON form always carries
-    everything.  Every valid result inside the cap is rendered.
+    each representative stands for; each table is ranked here, once.
+    ``max_listed`` caps the narrator and context sections of the text form;
+    the JSON form always carries everything.  Every valid result inside the
+    cap is rendered.
     """
+    ranked: dict[str, list[Row]] = {
+        "general": [(r, None) for r in sort_results(general)],
+        "narrators": [(r, None) for r in sort_results(narrators)],
+        "contexts": sorted(contexts, key=lambda rc: rank_key(rc[0])),
+    }
     lines: list[str] = []
     lines.append("Transfer evidence report")
     lines.append("========================")
@@ -146,42 +172,25 @@ def build_report(
         lines.append("(none scored)")
     lines.append("")
 
-    narrators_sorted = sort_results(narrators)
-    valid_narr = [r for r in narrators_sorted if r.valid]
-    listed_narr = valid_narr if max_listed is None else valid_narr[:max_listed]
-    lines.append(f"Particular narrators ({len(valid_narr)} valid of {len(narrators)})")
-    lines.append("--------------------")
-    for res in listed_narr:
-        lines.append(render_result(res))
-    if len(listed_narr) < len(valid_narr):
-        lines.append(f"... and {len(valid_narr) - len(listed_narr)} more in the JSON form.")
-    if not valid_narr:
-        lines.append("(no valid narrator evidence)")
-    lines.append("")
-
-    ctx_sorted = sorted(contexts, key=lambda rc: rank_key(rc[0]))
-    valid_ctx = [(r, c) for r, c in ctx_sorted if r.valid]
-    listed_ctx = valid_ctx if max_listed is None else valid_ctx[:max_listed]
-    total_cover = sum(c for _, c in valid_ctx)
-    lines.append(
-        f"Core contexts ({len(valid_ctx)} valid representatives covering "
-        f"{total_cover} contexts)"
+    valid_narr = [rc for rc in ranked["narrators"] if rc[0].valid]
+    lines += _ranked_section(
+        "Particular narrators", f"{len(valid_narr)} valid of {len(narrators)}",
+        valid_narr, "narrator", max_listed,
     )
-    lines.append("-------------")
-    for res, cover in listed_ctx:
-        lines.append(render_result(res, cover))
-    if len(listed_ctx) < len(valid_ctx):
-        lines.append(f"... and {len(valid_ctx) - len(listed_ctx)} more in the JSON form.")
-    if not valid_ctx:
-        lines.append("(no valid context evidence)")
-    lines.append("")
+    valid_ctx = [rc for rc in ranked["contexts"] if rc[0].valid]
+    total_cover = sum(c for _, c in valid_ctx)
+    lines += _ranked_section(
+        "Core contexts",
+        f"{len(valid_ctx)} valid representatives covering {total_cover} contexts",
+        valid_ctx, "context", max_listed,
+    )
 
     data = {
         "domains": list(domain_ids),
         "pairs": n_pairs,
         "fti": {f"{s}->{t}": v for (s, t), v in sorted(fti.items())},
         "general": [_to_json(r) for r in general],
-        "narrators": [_to_json(r) for r in narrators_sorted],
-        "contexts": [_to_json(r, c) for r, c in ctx_sorted],
+        "narrators": [_to_json(r) for r, _ in ranked["narrators"]],
+        "contexts": [_to_json(r, c) for r, c in ranked["contexts"]],
     }
-    return Report(text="\n".join(lines) + "\n", data=data)
+    return Report(text="\n".join(lines) + "\n", data=data, ranked=ranked)

@@ -1,8 +1,10 @@
 import argparse
 import json
+import random
 import subprocess
 import sys
 from dataclasses import fields
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +20,7 @@ from transferlens.cli import (
 )
 from transferlens.errors import DataError
 from transferlens.evidence import CoreContext, GeneralFactor, ParticularNarrator
+from transferlens.report import rank_key
 
 TBOX = "SubClassOf(P Marker)\nSubClassOf(Airport Location)\n"
 CONSTRAINTS = "SubClassOf(And(Location Song) Bottom)\n"
@@ -278,6 +281,56 @@ def test_pipeline_stages_write_resumable_artifacts(
     assert (out / "report.txt").read_text().startswith("Transfer evidence report")
 
 
+def test_evidence_tables_hold_the_report_json_rows_in_rank_order(tmp_path):
+    # measured AUCs with two families: transfer within one helps, across hurts
+    rng = random.Random(0)
+    ids = [f"{family}{i}" for family in "AB" for i in range(1, 5)]
+    base = {t: rng.uniform(0.6, 0.8) for t in ids}
+    lines = ["source,target,auc_base,auc_hard,auc_soft"]
+    for s in ids:
+        for t in ids:
+            if s != t:
+                near = s[0] == t[0]
+                hard = base[t] - rng.uniform(0.0, 0.05 if near else 0.2)
+                soft = base[t] + rng.uniform(0.0, 0.08) - (0.0 if near else 0.06)
+                lines.append(f"{s},{t},{base[t]:.6f},{hard:.6f},{soft:.6f}")
+    csv = tmp_path / "measured.csv"
+    csv.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    argv = ["report", "--corpus", str(MINI_FLIGHTS), "--outdir", str(out), "--auc-csv", str(csv)]
+    assert main(argv) == 0
+    data = json.loads((out / "report.json").read_text())
+
+    def table(name):
+        """The rows of evidence/<name>.tsv in the report.json form."""
+        header, *rows = (out / "evidence" / f"{name}.tsv").read_text().splitlines()
+        parsed = []
+        for row in rows:
+            cell = dict(zip(header.split("\t"), row.split("\t")))
+            item = {
+                "evidence": cell["evidence"],
+                "gamma": None if cell["gamma"] == "NA" else float(cell["gamma"]),
+                "rho": None if cell["rho"] == "NA" else float(cell["rho"]),
+                "n": int(cell["n"]),
+                "valid": {"yes": True, "no": False}[cell["valid"]],
+                "reason": None if cell["reason"] == "-" else cell["reason"],
+            }
+            if "cover" in cell:
+                item["cover"] = int(cell["cover"])
+            parsed.append(item)
+        return parsed
+
+    def ranked(items):
+        return sorted(items, key=lambda item: rank_key(SimpleNamespace(**item)))
+
+    for name in ("narrators", "contexts"):
+        assert {item["valid"] for item in data[name]} == {True, False}, name
+        assert data[name] == ranked(data[name]), name
+        assert table(name) == data[name], name
+    general = [{k: v for k, v in item.items() if k != "kind"} for item in data["general"]]
+    assert table("general") == ranked(general)
+
+
 def test_rerun_of_roots_and_import_is_stable(tmp_path):
     # on mini_flights the import adds individuals (ATL, Chicago, ...) that
     # mining would take as roots if it saw the imported axioms, and the next
@@ -429,6 +482,8 @@ def test_every_stage_refuses_any_bad_tuning_value_before_reading(
         (["--lr", "nan"], "learning rate must be positive and finite, got nan"),
         (["--max-dim", "1"], "max_dim must be at least 2, got 1"),
         (["--epsilon", "2"], "epsilon must be in [0, 1], got 2.0"),
+        (["--omega1", "5"], "weights must lie in [0, 1], got 5.0, 1.0"),
+        (["--omega2", "nan"], "weights must lie in [0, 1], got 1.0, nan"),
     ):
         assert main(argv + flag) == 2, flag
         assert message in capsys.readouterr().err

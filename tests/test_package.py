@@ -3,10 +3,12 @@ import importlib
 import pytest
 
 import transferlens
+import transferlens.cli
 import transferlens.config
 import transferlens.contexts
 import transferlens.evidence
 import transferlens.harness
+import transferlens.mining
 
 # the public surface: every name ``from transferlens import *`` gives
 PUBLIC = {
@@ -66,3 +68,7 @@ def test_tuning_dataclasses_have_one_home():
     assert transferlens.evidence.check_thresholds is transferlens.config.check_thresholds
     assert transferlens.TrainConfig is transferlens.config.TrainConfig
     assert transferlens.SearchConfig is transferlens.config.SearchConfig
+    assert transferlens.mining.MiningParams is transferlens.config.MiningParams
+    assert transferlens.harness.check_weights is transferlens.config.check_weights
+    assert transferlens.cli.PipelineConfig is transferlens.config.PipelineConfig
+    assert transferlens.MiningParams is transferlens.config.MiningParams
