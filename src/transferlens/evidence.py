@@ -101,11 +101,14 @@ def pearson(x, y) -> float:
 def p_value(r: float, n: int) -> float:
     """Two-sided significance of a correlation r over n samples.
 
-    Student's t with n-2 degrees of freedom; the tail mass is evaluated
-    through the regularized incomplete beta function.
+    Student's t with n-2 degrees of freedom, t^2 = r^2 (n-2) / (1 - r^2):
+    the two tails hold I_x((n-2)/2, 1/2) at x = (n-2) / (n-2 + t^2), the
+    regularized incomplete beta, which ``_betainc`` evaluates with the
+    standard library alone.  It agrees with ``scipy.special.betainc`` at
+    the same x to a relative 1e-10 for n up to 8,372 (the tests check a
+    grid of n and |r| down to 1e-7).  r = 0 gives exactly 1.0 and |r| = 1
+    exactly 0.0.
     """
-    from scipy.special import betainc
-
     if n < 3:
         raise DataError(f"p_value needs at least 3 samples, got {n}")
     if not -1.0 - 1e-12 <= r <= 1.0 + 1e-12:
@@ -115,7 +118,83 @@ def p_value(r: float, n: int) -> float:
     if abs(r) == 1.0:
         return 0.0
     t_sq = r * r * df / (1.0 - r * r)
-    return float(betainc(df / 2.0, 0.5, df / (df + t_sq)))
+    return _betainc(df / 2.0, 0.5, df / (df + t_sq))
+
+
+# with b = 1/2 the continued fraction converges in under 70 steps for any
+# n up to 10**7; the cap stops one that does not converge
+_BETA_MAX_STEPS = 300
+_BETA_EPS = 1e-15
+_BETA_TINY = 1e-300
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """The regularized incomplete beta I_x(a, b) for a, b > 0, 0 < x <= 1.
+
+    The continued fraction converges fast below x = (a+1)/(a+b+2); above
+    it, I_x(a, b) = 1 - I_{1-x}(b, a) (Numerical Recipes, section 6.4).
+    """
+    if x == 1.0:
+        return 1.0
+    y = 1.0 - x
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _beta_fraction(b, a, y, x)
+    return _beta_fraction(a, b, x, y)
+
+
+def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) by the modified Lentz method, given y = 1 - x; raises
+    DataError rather than return an unconverged value."""
+    front = math.exp(a * math.log(x) + b * math.log(y) - _log_beta(a, b)) / a
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _BETA_TINY else _BETA_TINY)
+    h = d
+    for m in range(1, _BETA_MAX_STEPS + 1):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > _BETA_TINY else _BETA_TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > _BETA_TINY else _BETA_TINY
+            h *= d * c
+        if abs(d * c - 1.0) < _BETA_EPS:
+            return front * h
+    raise DataError(
+        f"incomplete beta I_{x!r}({a!r}, {b!r}) did not converge in {_BETA_MAX_STEPS} steps"
+    )
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b).  Once the larger argument reaches 10, the difference
+    lgamma(big + small) - lgamma(big) comes from Stirling's series, so
+    that no two lgamma values near big * log(big) cancel."""
+    small, big = min(a, b), max(a, b)
+    if big < 10.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    rise = (
+        (big - 0.5) * math.log1p(small / big)
+        + small * (math.log(big + small) - 1.0)
+        + _stirling_tail(big + small)
+        - _stirling_tail(big)
+    )
+    return math.lgamma(small) - rise
+
+
+# the Bernoulli terms B_2k / (2k (2k - 1)) of Stirling's series, k = 1..6
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+
+
+def _stirling_tail(x: float) -> float:
+    """lgamma(x) - ((x - 1/2) log x - x + log(2 pi) / 2) for x >= 10, to
+    below 1e-15."""
+    s2 = 1.0 / (x * x)
+    acc = 0.0
+    for coef in reversed(_STIRLING):
+        acc = acc * s2 + coef
+    return acc / x
 
 
 class FactorKind(enum.Enum):

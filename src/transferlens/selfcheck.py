@@ -107,6 +107,8 @@ def _check_pearson():
     rho = p_value(got, len(xs))
     _check(0.0 < rho < 0.1, f"p-value {rho}")
     _check(p_value(1.0, 5) == 0.0, "perfect correlation has nonzero p-value")
+    rho = p_value(0.444, 20)
+    _check(abs(rho - 0.04986349331103491) < 1e-10, f"p-value of r = 0.444, n = 20 is {rho}")
 
 
 def _toy_domain():

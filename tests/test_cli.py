@@ -281,8 +281,9 @@ def test_pipeline_stages_write_resumable_artifacts(
     assert (out / "report.txt").read_text().startswith("Transfer evidence report")
 
 
-def test_evidence_tables_hold_the_report_json_rows_in_rank_order(tmp_path):
-    # measured AUCs with two families: transfer within one helps, across hurts
+def _two_family_aucs(csv):
+    """Measured AUCs for every ordered pair of mini_flights' eight domains,
+    in two families: transfer within one helps, across hurts."""
     rng = random.Random(0)
     ids = [f"{family}{i}" for family in "AB" for i in range(1, 5)]
     base = {t: rng.uniform(0.6, 0.8) for t in ids}
@@ -294,8 +295,12 @@ def test_evidence_tables_hold_the_report_json_rows_in_rank_order(tmp_path):
                 hard = base[t] - rng.uniform(0.0, 0.05 if near else 0.2)
                 soft = base[t] + rng.uniform(0.0, 0.08) - (0.0 if near else 0.06)
                 lines.append(f"{s},{t},{base[t]:.6f},{hard:.6f},{soft:.6f}")
-    csv = tmp_path / "measured.csv"
     csv.write_text("\n".join(lines) + "\n")
+    return csv
+
+
+def test_evidence_tables_hold_the_report_json_rows_in_rank_order(tmp_path):
+    csv = _two_family_aucs(tmp_path / "measured.csv")
     out = tmp_path / "o"
     argv = ["report", "--corpus", str(MINI_FLIGHTS), "--outdir", str(out), "--auc-csv", str(csv)]
     assert main(argv) == 0
@@ -564,6 +569,16 @@ def test_knowledge_stages_and_auc_ingestion_load_no_scipy(tmp_path):
     )
     stages = [["materialize"], ["mine-roots"], ["import-external"], ["fti", "--auc-csv", str(csv)]]
     assert _modules_after(stages, tmp_path / "out")["scipy"] == set()
+
+
+def test_report_and_explain_load_no_scipy(tmp_path):
+    # every ordered pair is measured, so both stages compute significances
+    csv = str(_two_family_aucs(tmp_path / "measured.csv"))
+    stages = [["report", "--auc-csv", csv], ["explain", "--evidence", "d_obs", "--auc-csv", csv]]
+    loaded = _modules_after(stages, tmp_path / "out")
+    assert "numpy" in loaded["numpy"]
+    assert loaded["scipy"] == set()
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["general"][0]["rho"] is not None
 
 
 def test_training_and_report_load_no_scipy_stats(tmp_path):

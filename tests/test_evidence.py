@@ -12,6 +12,7 @@ from transferlens.evidence import (
     FactorKind,
     GeneralFactor,
     ParticularNarrator,
+    _betainc,
     change_rates,
     change_rates_from_counts,
     correlative_reason,
@@ -158,6 +159,33 @@ def test_p_value_matches_quadrature_oracle():
         assert p_value(r, n) == pytest.approx(
             p_value_quadrature(r, n), abs=5e-4
         ), f"trial {trial}: r={r} n={n}"
+
+
+def test_p_value_agrees_with_scipy_betainc_at_the_same_x():
+    # n runs up to criterion 9's 92 x 91 ordered pairs; where the tail
+    # underflows, both give exactly 0.0
+    from scipy.special import betainc
+
+    ns = sorted({3, 4, 5, 7, 10, 20, 50, 100} | {k * (k - 1) for k in range(3, 93, 7)} | {8372})
+    rs = [float(r) for r in np.geomspace(1e-7, 0.9999, 60)]
+    sides = set()
+    for n in ns:
+        df = n - 2
+        for r in rs:
+            x = df / (df + r * r * df / (1.0 - r * r))
+            sides.add(x > (df / 2 + 1) / (df / 2 + 2.5))
+            want = float(betainc(df / 2, 0.5, x))
+            got = p_value(r, n)
+            assert p_value(-r, n) == got
+            assert got == pytest.approx(want, rel=1e-10, abs=0), (n, r)
+        assert p_value(0.0, n) == 1.0
+        assert p_value(1.0, n) == 0.0 and p_value(-1.0, n) == 0.0
+    assert sides == {True, False}  # both sides of the continued fraction's switch
+
+
+def test_incomplete_beta_raises_rather_than_return_an_unconverged_value():
+    with pytest.raises(DataError, match="did not converge"):
+        _betainc(1e6, 1e6, 0.5)
 
 
 def test_p_value_monotone_in_strength_and_samples():
