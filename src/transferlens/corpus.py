@@ -132,7 +132,7 @@ def load_corpus(root: str | Path) -> Corpus:
                 )
         constraints = cont.tbox
 
-    ntbox = normalize_tbox(tbox_ont.tbox, reserved=tbox_ont.signature.names)
+    ntbox = normalize_tbox(tbox_ont.tbox)
 
     domains_dir = root / "domains"
     if not domains_dir.is_dir():

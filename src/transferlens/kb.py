@@ -22,7 +22,7 @@ from typing import Protocol
 
 from .domain import LearningDomain
 from .errors import DataError
-from .ontology import ABoxAxiom, Atomic, ClassAssertion, Gci, NAME_RE, RoleAssertion
+from .ontology import ABoxAxiom, Atomic, ClassAssertion, Gci, NAME_CHARS, NAME_RE, RoleAssertion
 from .reasoner import is_consistent
 
 
@@ -30,13 +30,12 @@ def normalize_label(text: str) -> str:
     return text.strip().replace("_", " ").replace("-", " ").casefold()
 
 
-_NAME_OK = re.compile(r"\A[A-Za-z0-9_./:\-]+\Z")
-_BAD_CHARS = re.compile(r"[^A-Za-z0-9_./:\-]+")
+_BAD_CHARS = re.compile(f"[^{NAME_CHARS}]+")
 
 
 def sanitize_name(text: str) -> str | None:
     """Coerce KB text into a legal ontology name, or None if nothing is left."""
-    if _NAME_OK.match(text):
+    if NAME_RE.fullmatch(text):
         return text
     cleaned = _BAD_CHARS.sub("_", text.strip()).strip("_")
     return cleaned or None

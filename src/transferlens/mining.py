@@ -97,11 +97,8 @@ def effective_subsets(
     return level
 
 
-def root_individuals(root_entailments, fresh: frozenset[str] = frozenset()) -> tuple[str, ...]:
-    inds: set[str] = set()
-    for g in root_entailments:
-        inds.update(a for a in g.args if a not in fresh)
-    return tuple(sorted(inds))
+def root_individuals(root_entailments) -> tuple[str, ...]:
+    return tuple(sorted({a for g in root_entailments for a in g.args}))
 
 
 def mine_roots(domain: LearningDomain, params: MiningParams) -> RootSet:
@@ -114,5 +111,5 @@ def mine_roots(domain: LearningDomain, params: MiningParams) -> RootSet:
         frequent=freq,
         effective=eff,
         root_entailments=roots,
-        root_individuals=root_individuals(roots, domain.tbox.fresh),
+        root_individuals=root_individuals(roots),
     )

@@ -7,8 +7,9 @@ inequality).  Documents are plain text, one axiom per line, ``#`` comments.
 
 ``normalize_tbox`` rewrites arbitrary general class inclusions into the flat
 rule forms the reasoner consumes, introducing fresh concept names where
-needed.  Fresh names start with ``_N`` and are tracked so downstream layers
-can keep them out of anything user-facing.
+needed.  Every name a document can spell matches ``NAME_RE``; fresh names are
+written ``(n<k>)``, outside that grammar, so they can never collide with a
+user's name and downstream layers drop them by their leading ``(``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-NAME_RE = re.compile(r"[A-Za-z0-9_./:\-]+")
+# the characters of a concept, role or individual name
+NAME_CHARS = r"A-Za-z0-9_./:\-"
+NAME_RE = re.compile(f"[{NAME_CHARS}]+")
 
 KEYWORDS = {
     "Top", "Bottom", "And", "Some", "Nom",
@@ -197,7 +200,6 @@ class Inequality:
 
 
 ABoxAxiom = ClassAssertion | RoleAssertion | Equality | Inequality
-Axiom = TBoxAxiom | ABoxAxiom
 
 
 @dataclass(frozen=True)
@@ -205,10 +207,6 @@ class Signature:
     concepts: frozenset[str]
     roles: frozenset[str]
     individuals: frozenset[str]
-
-    @property
-    def names(self) -> frozenset[str]:
-        return self.concepts | self.roles | self.individuals
 
 
 @dataclass(frozen=True)
@@ -222,7 +220,7 @@ class Ontology:
 # parsing
 
 # a name or a parenthesis, whitespace, or any other (unexpected) character
-_TOKEN_RE = re.compile(r"([A-Za-z0-9_./:\-]+|[()])|\s+|(.)", re.DOTALL)
+_TOKEN_RE = re.compile(rf"({NAME_RE.pattern}|[()])|\s+|(.)", re.DOTALL)
 
 
 class _Parser:
@@ -483,10 +481,10 @@ NormalRule = RSub | RConj | RExistLhs | RExistRhs
 class NormalizedTBox:
     """Flat rule view of a TBox.
 
-    ``fresh`` lists the introduced concept names; they are implementation
-    detail and are filtered out of every externally visible atom set.
-    ``source`` keeps the original axioms so the rule set can be extended
-    (for example with constraint axioms) without re-parsing.
+    ``fresh`` lists the introduced concept names; no document can spell
+    them, and every externally visible atom set drops them.  ``source``
+    keeps the original axioms so the rule set can be extended (for example
+    with constraint axioms) without re-parsing.
     """
 
     rules: tuple[NormalRule, ...]
@@ -494,60 +492,52 @@ class NormalizedTBox:
     role_chains: tuple[RoleChain, ...]
     fresh: frozenset[str]
     source: frozenset[TBoxAxiom]
-    next_fresh: int = 0
     _compiled: object = field(default=None, repr=False, compare=False)
+    _extensions: dict = field(default_factory=dict, repr=False, compare=False)
 
     def extended(self, extra: frozenset[TBoxAxiom] | set[TBoxAxiom]) -> "NormalizedTBox":
-        """Normalized union of this TBox and ``extra`` axioms."""
-        return normalize_tbox(
-            self.source | frozenset(extra),
-            reserved=self.fresh,
-            start_index=self.next_fresh,
-        )
+        """Normalized union of this TBox and ``extra`` axioms.
+
+        Memoized per distinct ``extra``, so repeated checks against one
+        axiom set reuse one compile; no extra axioms give ``self``.
+        """
+        extra = frozenset(extra)
+        if not extra:
+            return self
+        got = self._extensions.get(extra)
+        if got is None:
+            got = self._extensions[extra] = normalize_tbox(self.source | extra)
+        return got
 
 
 class _FreshNames:
-    def __init__(self, reserved: set[str], start: int):
-        self.reserved = reserved
-        self.counter = start
+    """Generated concept names ``(<tag><k>)``.
+
+    The parentheses put them outside ``NAME_RE``, so they cannot collide
+    with any name a document uses, and each tag keeps its own counter.
+    """
+
+    def __init__(self, tag: str):
+        self.tag = tag
         self.created: list[str] = []
 
     def new(self) -> Atomic:
-        while True:
-            name = f"_N{self.counter}"
-            self.counter += 1
-            if name not in self.reserved:
-                self.reserved.add(name)
-                self.created.append(name)
-                return Atomic(name)
+        name = f"({self.tag}{len(self.created)})"
+        self.created.append(name)
+        return Atomic(name)
 
 
-def _signature_names(axioms) -> set[str]:
-    names: set[str] = set()
-    for ax in axioms:
-        if isinstance(ax, Gci):
-            names.update(name for c in (ax.lhs, ax.rhs) for name, _ in _concept_names(c))
-        elif isinstance(ax, SubRole):
-            names.update((ax.sub, ax.sup))
-        elif isinstance(ax, RoleChain):
-            names.update((ax.first, ax.second, ax.sup))
-    return names
-
-
-def normalize_tbox(
-    axioms,
-    reserved: frozenset[str] | set[str] = frozenset(),
-    start_index: int = 0,
-) -> NormalizedTBox:
+def normalize_tbox(axioms) -> NormalizedTBox:
     """Rewrite general axioms into normal forms, introducing fresh names.
 
     The rewriting is the usual structural transformation: split conjunctions
     on the right, name complex fillers and complex conjuncts, binarize wide
     conjunctions.  It is conservative over the input signature: the original
-    and normalized TBoxes entail the same atoms over original names.
+    and normalized TBoxes entail the same atoms over original names.  The
+    fresh names are ``(n0)``, ``(n1)``, ... in order of introduction.
     """
     axioms = frozenset(axioms)
-    fresh = _FreshNames(_signature_names(axioms) | set(reserved), start_index)
+    fresh = _FreshNames("n")
     rules: list[NormalRule] = []
     role_subs: list[SubRole] = []
     role_chains: list[RoleChain] = []
@@ -619,5 +609,4 @@ def normalize_tbox(
         role_chains=tuple(sorted(set(role_chains), key=str)),
         fresh=frozenset(fresh.created),
         source=axioms,
-        next_fresh=fresh.counter,
     )

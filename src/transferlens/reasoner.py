@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from weakref import WeakKeyDictionary
 
 from .ontology import (
     ABoxAxiom,
@@ -40,6 +39,7 @@ from .ontology import (
     Existential,
     Gci,
     Inequality,
+    NAME_RE,
     Nominal,
     NormalizedTBox,
     OntologyError,
@@ -48,7 +48,6 @@ from .ontology import (
     RExistRhs,
     RSub,
     RoleAssertion,
-    TBoxAxiom,
     Top,
     _FreshNames,
     normalize_tbox,
@@ -57,7 +56,8 @@ from .ontology import (
 _TOP = "(top)"
 _BOT = "(bot)"
 
-_ATOM_RE = re.compile(r"^([A-Za-z0-9_./:\-]+)\(([A-Za-z0-9_./:\-]+)(?:,([A-Za-z0-9_./:\-]+))?\)$")
+_NAME = f"({NAME_RE.pattern})"
+_ATOM_RE = re.compile(rf"^{_NAME}\({_NAME}(?:,{_NAME})?\)$")
 
 
 @dataclass(frozen=True, order=True)
@@ -330,23 +330,6 @@ def _compiled(ntbox: NormalizedTBox) -> _Compiled:
     return ntbox._compiled
 
 
-_ext_cache: "WeakKeyDictionary[NormalizedTBox, dict[frozenset, NormalizedTBox]]" = (
-    WeakKeyDictionary()
-)
-
-
-def extended_tbox(ntbox: NormalizedTBox, extra: frozenset[TBoxAxiom]) -> NormalizedTBox:
-    """Memoized ``ntbox.extended(extra)``; repeated checks reuse one compile."""
-    if not extra:
-        return ntbox
-    per = _ext_cache.setdefault(ntbox, {})
-    got = per.get(extra)
-    if got is None:
-        got = ntbox.extended(extra)
-        per[extra] = got
-    return got
-
-
 # ---------------------------------------------------------------------------
 # closure
 
@@ -360,7 +343,6 @@ class EntailmentClosure:
     role_atoms: frozenset[tuple[str, str, str]]
     merged: tuple[frozenset[str], ...]
     individuals: frozenset[str]
-    fresh: frozenset[str]
     insertions: int
     inconsistency_witness: str | None = None
     _canon: dict[str, str] = field(default_factory=dict, repr=False)
@@ -370,11 +352,15 @@ class EntailmentClosure:
         return self._canon.get(name, name)
 
     def atoms(self) -> frozenset[Entailment]:
-        """Public atoms: no fresh names, no nominal/internal markers."""
+        """Public atoms: no nominal markers and no internal keys.
+
+        Internal keys start with ``(``: the ``(top)`` and ``(bot)`` markers
+        and every generated concept name.
+        """
         if self._public is None:
             out: set[Entailment] = set()
             for key, ind in self.class_atoms:
-                if key.startswith(("{", "}", "(")) or key in self.fresh:
+                if key.startswith(("{", "}", "(")):
                     continue
                 out.add(Entailment(key, (ind,)))
             for role, a, b in self.role_atoms:
@@ -405,17 +391,19 @@ def _decomposable(c: ConceptExpr) -> bool:
     return all(_decomposable(p) for p in c.parts)
 
 
-def _prepare(
-    ntbox: NormalizedTBox, abox
-) -> tuple[NormalizedTBox, list[ABoxAxiom], frozenset[str]]:
-    """Name any assertion concept that cannot be asserted ground as-is."""
+def _prepare(ntbox: NormalizedTBox, abox) -> tuple[NormalizedTBox, list[ABoxAxiom]]:
+    """Name any assertion concept that cannot be asserted ground as-is.
+
+    The names are ``(a<k>)``: normalizing the extended TBox introduces its
+    own ``(n<k>)`` names, and a tag of their own keeps the two apart.
+    """
     complex_concepts: dict[ConceptExpr, None] = {}
     for ax in abox:
         if isinstance(ax, ClassAssertion) and not _decomposable(ax.concept):
             complex_concepts[ax.concept] = None
     if not complex_concepts:
-        return ntbox, list(abox), frozenset()
-    fresh = _FreshNames(set(ntbox.fresh), ntbox.next_fresh)
+        return ntbox, list(abox)
+    fresh = _FreshNames("a")
     names = {c: fresh.new() for c in sorted(complex_concepts, key=str)}
     extra = frozenset(Gci(atom, c) for c, atom in names.items())
     rewritten: list[ABoxAxiom] = []
@@ -424,7 +412,7 @@ def _prepare(
             rewritten.append(ClassAssertion(names[ax.concept], ax.individual))
         else:
             rewritten.append(ax)
-    return extended_tbox(ntbox, extra), rewritten, frozenset(fresh.created)
+    return ntbox.extended(extra), rewritten
 
 
 def materialize(tbox, abox) -> EntailmentClosure:
@@ -434,7 +422,7 @@ def materialize(tbox, abox) -> EntailmentClosure:
     latter avoids re-normalizing when many ABoxes share one TBox.
     """
     ntbox = tbox if isinstance(tbox, NormalizedTBox) else normalize_tbox(frozenset(tbox))
-    ntbox, axioms, minted = _prepare(ntbox, abox)
+    ntbox, axioms = _prepare(ntbox, abox)
     rules = _compiled(ntbox)
 
     uf = UnionFind()
@@ -541,6 +529,7 @@ def materialize(tbox, abox) -> EntailmentClosure:
             elif isinstance(c, Atomic):
                 push_class(c.name, x)
             elif isinstance(c, Nominal):
+                mention(c.individual)
                 merge(x, c.individual)
             elif isinstance(c, Existential):
                 # _prepare guarantees the filler is a nominal here
@@ -601,7 +590,6 @@ def materialize(tbox, abox) -> EntailmentClosure:
         role_atoms=frozenset(role_atoms),
         merged=uf.groups(),
         individuals=individuals,
-        fresh=ntbox.fresh | minted,
         insertions=insertions,
         inconsistency_witness=witness,
         _canon=canon,
@@ -611,7 +599,7 @@ def materialize(tbox, abox) -> EntailmentClosure:
 def is_consistent(tbox, abox, constraints=frozenset()) -> bool:
     """True iff (tbox ∪ constraints, abox) derives no contradiction."""
     ntbox = tbox if isinstance(tbox, NormalizedTBox) else normalize_tbox(frozenset(tbox))
-    return not materialize(extended_tbox(ntbox, frozenset(constraints)), abox).inconsistent
+    return not materialize(ntbox.extended(constraints), abox).inconsistent
 
 
 def entails(closure: EntailmentClosure, g: Entailment) -> bool:

@@ -63,6 +63,11 @@ RoleAssert(hasWea d w)
     }
     _check(got == want, f"closure mismatch: {sorted(got ^ want)}")
     _check(not closure.inconsistent, "consistent fixture closed inconsistent")
+    # a nominal on an individual that nothing else mentions merges the two
+    closure = materialize(frozenset(), parse_abox("ClassAssert(And(A Nom(b)) x)"))
+    got = {str(g) for g in closure.atoms()}
+    _check(got == {"A(b)"}, f"nominal assertion closed to {sorted(got)}")
+    _check(closure.merged == (frozenset({"b", "x"}),), f"merged {closure.merged}")
 
 
 def _check_merge_inconsistency():

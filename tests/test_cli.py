@@ -1,6 +1,7 @@
 import argparse
 import json
 import random
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -366,6 +367,18 @@ def test_import_external_mines_roots_with_its_own_config(tmp_path):
     assert main(["import-external", *corpus, "--outdir", str(fresh)]) == 0
     for f in sorted((fresh / "external").iterdir()):
         assert (stale / "external" / f.name).read_bytes() == f.read_bytes(), f.name
+
+
+def test_a_nominal_assertion_on_an_unmentioned_individual_materializes(tmp_path):
+    # AAA appears nowhere else in the corpus; w merges into it
+    root = tmp_path / "corpus"
+    shutil.copytree(MINI_FLIGHTS, root)
+    lso = root / "domains" / "A1" / "lsos" / "lso-000.ont"
+    lso.write_text(lso.read_text() + "ClassAssert(Nom(AAA) w)\n")
+    out = tmp_path / "out"
+    assert main(["materialize", "--corpus", str(root), "--outdir", str(out)]) == 0
+    atoms = (out / "closures" / "A1.atoms").read_text().splitlines()
+    assert "hasWea(d,AAA)" in atoms and "Windy(AAA)" in atoms
 
 
 def test_report_and_explain_reject_unknown_domains(corpus_dir, tmp_path, capsys):

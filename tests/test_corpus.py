@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from conftest import MINI_FLIGHTS
 from transferlens.corpus import load_corpus
 from transferlens.errors import DataError
+from transferlens.reasoner import Entailment
 
 
 def _write_corpus(root, tbox="SubClassOf(A B)\n", domains=None, extra=None):
@@ -152,3 +155,17 @@ def test_mini_flights_corpus_is_clean():
         labels = d.labels()
         assert not any(c.inconsistent for c in d.lso_closures())
         assert 0 < labels.sum() < len(labels)
+
+
+def test_a_user_concept_spelled_like_a_generated_name_is_kept(tmp_path):
+    # A1's first LSO has Dep(d) but no snow; the TBox's
+    # Dep ⊓ ∃hasWea.Snow ⊑ SnowyDep must not fire on a user's _N0(d)
+    root = tmp_path / "c"
+    shutil.copytree(MINI_FLIGHTS, root)
+    lso = root / "domains" / "A1" / "lsos" / "lso-000.ont"
+    before = load_corpus(root).domain("A1").lso_closures()[0].atoms()
+    lso.write_text(lso.read_text() + "ClassAssert(_N0 d)\n")
+    after = load_corpus(root).domain("A1").lso_closures()[0].atoms()
+    assert Entailment.parse("Dep(d)") in before
+    assert after == before | {Entailment.parse("_N0(d)")}
+    assert Entailment.parse("SnowyDep(d)") not in after

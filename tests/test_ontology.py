@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from genont import random_instance
 from oracles import structural_closure
 from transferlens.ontology import (
+    NAME_RE,
     Atomic,
     Bottom,
     Conjunction,
@@ -111,16 +112,18 @@ def test_normalize_shapes_and_fresh_names():
             assert is_basic(rule.filler) and is_basic(rule.rhs)
         elif isinstance(rule, RExistRhs):
             assert is_basic(rule.lhs) and is_basic(rule.filler)
-    assert all(n.startswith("_N") for n in nt.fresh)
+    # no document can spell a generated name
+    assert not any(NAME_RE.fullmatch(n) for n in nt.fresh)
     assert len(nt.fresh) > 0
 
 
-def test_fresh_names_skip_collisions():
+def test_fresh_names_cannot_collide_with_user_names():
     ont = parse_ontology(
         "ClassAssert(_N0 x)\nSubClassOf(And(A Some(r Some(s B))) C)"
     )
-    nt = normalize_tbox(ont.tbox, reserved=ont.signature.names)
+    nt = normalize_tbox(ont.tbox)
     assert "_N0" not in nt.fresh
+    assert nt.fresh == {"(n0)", "(n1)"}
 
 
 def test_normalize_conservative_on_random_instances():
@@ -173,6 +176,9 @@ def test_extended_covers_both_axiom_sets():
     clo = materialize(nt2, ont.abox)
     assert clo.entails(Entailment.parse("C(x)"))
     assert clo.entails(Entailment.parse("F(x)"))
+    # one result per distinct extra axiom set, and none for no extra axioms
+    assert nt.extended(set(extra)) is nt2
+    assert nt.extended(frozenset()) is nt
 
 
 def test_tbox_abox_separation_helpers():

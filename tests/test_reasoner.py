@@ -2,15 +2,23 @@ from __future__ import annotations
 
 import gc
 import os
+import random
 import subprocess
 import sys
 import time
 
 import pytest
 
-from genont import random_instance
+from genont import INDS, random_concept, random_instance
 from oracles import naive_closure, structural_closure
-from transferlens.ontology import normalize_tbox, parse_ontology
+from transferlens.ontology import (
+    NAME_RE,
+    Atomic,
+    ClassAssertion,
+    Gci,
+    normalize_tbox,
+    parse_ontology,
+)
 from transferlens.reasoner import (
     Entailment,
     UnionFind,
@@ -221,8 +229,46 @@ def test_composite_abox_assertion():
     # the asserted complex concept is named internally; its consequences hold
     assert clo.entails(Entailment.parse("C(x)"))
     assert clo.entails(Entailment.parse("A(x)"))
-    # no fresh names leak into the public atom dump
-    assert not any("_N" in line for line in clo.to_lines())
+    # the internal name is dropped: every line of the dump is a public atom
+    assert clo.to_lines() == ["A(x)", "C(x)"]
+
+
+def test_generated_names_are_outside_the_name_grammar():
+    ont = parse_ontology(FLIGHT_DOC + "\nClassAssert(And(Dep Some(hasWea Some(r A))) z)\n")
+    nt = normalize_tbox(ont.tbox)
+    assert nt.fresh and not any(NAME_RE.fullmatch(name) for name in nt.fresh)
+    clo = materialize(nt, ont.abox)
+    generated = {key for key, _ in clo.class_atoms if key.startswith("(")}
+    assert "(a0)" in generated and any(key.startswith("(n") for key in generated)
+    # no line of the closure dump holds a generated name
+    assert not any(Entailment.parse(line).pred in generated for line in clo.to_lines())
+
+
+def test_a_user_concept_spelled_like_a_generated_name_is_ordinary():
+    clo = _closure(
+        "SubClassOf(And(Dep Some(hasWea Snow)) SnowyDep)\n"
+        "ClassAssert(_N0 d)\nClassAssert(Dep d)\n"
+    )
+    assert set(clo.to_lines()) == {"Dep(d)", "_N0(d)"}
+
+
+def test_renormalized_names_stay_apart_from_assertion_names():
+    # the assertion's concept is named, then the extended TBox is normalized
+    # again; a name shared by both passes would turn Q's premise into A ⊓ B
+    clo = _closure("SubClassOf(Some(r A) Q)\nClassAssert(Some(r And(A B)) x)\n")
+    assert clo.to_lines() == ["Q(x)"]
+    assert not clo.entails(Entailment.parse("A(x)"))
+    assert not clo.entails(Entailment.parse("B(x)"))
+
+
+@pytest.mark.parametrize("concept", ["Nom(b)", "And(A Nom(b))"])
+def test_nominal_assertion_on_an_unmentioned_individual(concept):
+    clo = _closure(f"ClassAssert({concept} x)\n")
+    assert not clo.inconsistent
+    assert clo.merged == (frozenset({"b", "x"}),)
+    assert clo.canonical("x") == "b"
+    assert clo.entails(Entailment.parse("Top(x)"))
+    assert clo.entails(Entailment.parse("A(b)")) == ("A" in concept)
 
 
 def test_materialize_leaves_no_cyclic_garbage():
@@ -304,6 +350,39 @@ def test_equivalence_with_naive_oracle():
         assert set(got.merged) == want.groups, f"seed {seed}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
+
+
+def _composite_instance(seed: int, named_rhs: bool):
+    """A genont instance plus 1-3 composite class assertions."""
+    tbox, abox = random_instance(seed, named_rhs=named_rhs)
+    rng = random.Random(f"composite {seed} {named_rhs}")
+    asserted = [
+        ClassAssertion(random_concept(rng, 3, False), rng.choice(INDS))
+        for _ in range(rng.randint(1, 3))
+    ]
+    return tbox, abox, asserted
+
+
+def test_composite_assertions_match_the_naive_oracle():
+    """C_i(x_i) asserted directly closes like Z_i(x_i) under Z_i ⊑ C_i, with
+    each Z_i a new user name that the comparison drops."""
+    for named_rhs in (False, True):
+        for seed in range(1500):
+            tbox, abox, asserted = _composite_instance(seed, named_rhs)
+            got = materialize(normalize_tbox(tbox), abox | set(asserted))
+            named = [(Atomic(f"Z{i}"), ax) for i, ax in enumerate(asserted)]
+            nt = normalize_tbox(tbox | {Gci(z, ax.concept) for z, ax in named})
+            want = naive_closure(nt, abox | {ClassAssertion(z, ax.individual) for z, ax in named})
+            case = f"seed {seed}, named_rhs {named_rhs}"
+            assert got.inconsistent == want.inconsistent, case
+            if want.inconsistent:
+                continue
+            got_public = {
+                (a.pred, a.args[0]) if a.is_class_atom else (a.pred, *a.args)
+                for a in got.atoms()
+            }
+            assert got_public == want.public_atoms(nt.fresh | {z.name for z, _ in named}), case
+            assert set(got.merged) == want.groups, case
 
 
 def test_equivalence_with_structural_oracle_on_named_fragment():
