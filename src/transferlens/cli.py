@@ -26,7 +26,9 @@ so a value any stage would refuse is a data error everywhere.  ``report``
 writes ``evidence/*.tsv`` from the rows :func:`.report.build_report` ranks.
 The modules that compute with numpy (harness, evidence, contexts, report)
 are imported inside the commands that use them, so the knowledge stages
-never load it.
+never load it.  ``kb`` and ``mining``, which only ``mine-roots`` and
+``import-external`` use, are imported the same way, so the other stages
+start without them.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from pathlib import Path
 from .config import PipelineConfig
 from .corpus import Corpus, load_corpus
 from .errors import DataError, UsageError
-from .kb import FileKbAdapter, HttpKbAdapter, VocabularyMapping, import_external
-from .mining import mine_roots
 from .ontology import axioms_to_text, parse_abox
 from .reasoner import Entailment
 
@@ -171,6 +171,8 @@ def cmd_materialize(args, cfg: PipelineConfig, outdir: Path) -> int:
 
 
 def cmd_mine_roots(args, cfg: PipelineConfig, outdir: Path) -> int:
+    from .mining import mine_roots
+
     params = cfg.mining
     # the bare corpus, as in import-external, so that reruns mine the same roots
     for d in _load_corpus(args, None).domains:
@@ -201,6 +203,8 @@ def cmd_mine_roots(args, cfg: PipelineConfig, outdir: Path) -> int:
 
 
 def _make_adapter(args, corpus: Corpus):
+    from .kb import FileKbAdapter, HttpKbAdapter
+
     if getattr(args, "kb_lookup_url", None) or getattr(args, "kb_describe_url", None):
         if not (args.kb_lookup_url and args.kb_describe_url):
             raise UsageError("--kb-lookup-url and --kb-describe-url go together")
@@ -214,7 +218,9 @@ def _make_adapter(args, corpus: Corpus):
     return FileKbAdapter(kb_path)
 
 
-def _make_mapping(args, corpus: Corpus) -> VocabularyMapping:
+def _make_mapping(args, corpus: Corpus):
+    from .kb import VocabularyMapping
+
     map_path = getattr(args, "kb_map", None) or corpus.kb_map_path
     if map_path is None:
         raise DataError(
@@ -224,6 +230,9 @@ def _make_mapping(args, corpus: Corpus) -> VocabularyMapping:
 
 
 def cmd_import_external(args, cfg: PipelineConfig, outdir: Path) -> int:
+    from .kb import import_external
+    from .mining import mine_roots
+
     # The bare corpus: this import replaces external/*.axioms, so the axioms
     # of an earlier import must not reach its roots or its consistency gate.
     corpus = _load_corpus(args, None)

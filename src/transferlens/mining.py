@@ -47,10 +47,11 @@ def _lso_masks(domain: LearningDomain) -> tuple[dict[Entailment, int], int]:
 
 
 def frequent_entailments(domain: LearningDomain, sigma: float) -> frozenset[Entailment]:
-    masks, n = _lso_masks(domain)
-    return frozenset(
-        g for g, m in masks.items() if g != domain.target and m.bit_count() / n >= sigma
-    )
+    return _frequent(domain.target, *_lso_masks(domain), sigma)
+
+
+def _frequent(target: Entailment, masks, n: int, sigma: float) -> frozenset[Entailment]:
+    return frozenset(g for g, m in masks.items() if g != target and m.bit_count() / n >= sigma)
 
 
 def effective_subsets(
@@ -58,9 +59,14 @@ def effective_subsets(
 ) -> dict[frozenset[Entailment], tuple[float, float]]:
     """Qualifying exactly-``kappa``-element subsets with their (r_e, r_i)."""
     MiningParams(sigma=1.0, kappa=kappa, tau=tau, kappa_cap=kappa_cap)
-    masks, n = _lso_masks(domain)
+    return _effective(domain.target, *_lso_masks(domain), kappa, tau)
+
+
+def _effective(
+    target: Entailment, masks, n: int, kappa: int, tau: float
+) -> dict[frozenset[Entailment], tuple[float, float]]:
     full = (1 << n) - 1
-    target_mask = masks.get(domain.target, 0)
+    target_mask = masks.get(target, 0)
 
     def score(subset) -> tuple[float, float]:
         both = any_of = target_mask
@@ -70,7 +76,7 @@ def effective_subsets(
         return both.bit_count() / n, (full & ~any_of).bit_count() / n
 
     level: dict[frozenset[Entailment], tuple[float, float]] = {}
-    for g in sorted(g for g in masks if g != domain.target):
+    for g in sorted(g for g in masks if g != target):
         s = score((g,))
         if s[0] + s[1] >= tau:
             level[frozenset((g,))] = s
@@ -102,8 +108,10 @@ def root_individuals(root_entailments) -> tuple[str, ...]:
 
 
 def mine_roots(domain: LearningDomain, params: MiningParams) -> RootSet:
-    freq = frequent_entailments(domain, params.sigma)
-    eff = effective_subsets(domain, params.kappa, params.tau, params.kappa_cap)
+    # one mask table serves both routes
+    masks, n = _lso_masks(domain)
+    freq = _frequent(domain.target, masks, n, params.sigma)
+    eff = _effective(domain.target, masks, n, params.kappa, params.tau)
     roots = frozenset(freq) | frozenset(itertools.chain.from_iterable(eff))
     return RootSet(
         domain_id=domain.id,

@@ -5,6 +5,15 @@ Bottom, conjunction, existential restriction, and nominals, with role
 inclusions, role chains, and ABox assertions (class, role, equality,
 inequality).  Documents are plain text, one axiom per line, ``#`` comments.
 
+``parse_ontology`` has two paths.  A document whose every line is blank, a
+comment, or one plain assertion (``ClassAssert`` of a concept name,
+``RoleAssert``, ``SameInd``, ``DiffInd``) is read by one regular-expression
+match per line, built from the tokenizer's own name, whitespace and comment
+rules.  Anything else, and every document the plain path cannot accept as
+it stands (a keyword in concept position, a name used as two kinds,
+``DiffInd(a a)``), goes to the token parser, which therefore owns every
+error message; both paths give equal ``Ontology`` values.
+
 ``normalize_tbox`` rewrites arbitrary general class inclusions into the flat
 rule forms the reasoner consumes, introducing fresh concept names where
 needed.  Every name a document can spell matches ``NAME_RE``; fresh names are
@@ -219,15 +228,20 @@ class Ontology:
 # ---------------------------------------------------------------------------
 # parsing
 
+# whitespace between tokens, and the start of a comment that runs to the end
+# of its line; the token parser and the plain-line grammar share both
+_SPACE = r"\s"
+_COMMENT = "#"
+
 # a name or a parenthesis, whitespace, or any other (unexpected) character
-_TOKEN_RE = re.compile(rf"({NAME_RE.pattern}|[()])|\s+|(.)", re.DOTALL)
+_TOKEN_RE = re.compile(rf"({NAME_RE.pattern}|[()])|{_SPACE}+|(.)", re.DOTALL)
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens: list[tuple[str, int, int]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            for m in _TOKEN_RE.finditer(raw.split("#", 1)[0]):
+            for m in _TOKEN_RE.finditer(raw.split(_COMMENT, 1)[0]):
                 tok, bad = m.groups()
                 if bad is not None:
                     raise ParseError(f"unexpected character {bad!r}", lineno, m.start() + 1)
@@ -345,6 +359,75 @@ def parse_ontology(text: str) -> Ontology:
     a name is used as more than one of concept/role/individual, and
     OntologyError for DiffInd of an individual with itself.
     """
+    ont = _parse_plain(text)
+    return ont if ont is not None else _parse_tokens(text)
+
+
+# one line of a plain document: blank, a comment, or one plain assertion
+# with an optional trailing comment; group 1 is the keyword, 2-4 the names
+_PLAIN_LINE_RE = re.compile(
+    rf"{_SPACE}*(?:(ClassAssert|RoleAssert|SameInd|DiffInd){_SPACE}*\("
+    rf"{_SPACE}*({NAME_RE.pattern}){_SPACE}+({NAME_RE.pattern})"
+    rf"(?:{_SPACE}+({NAME_RE.pattern}))?{_SPACE}*\){_SPACE}*)?"
+    rf"(?:{_COMMENT}.*)?",
+    re.DOTALL,
+)
+
+
+def _parse_plain(text: str) -> Ontology | None:
+    """The document's Ontology if it holds only plain assertions, else None.
+
+    None also covers every plain-looking document the token parser would
+    refuse or read differently, so that ``_parse_tokens`` alone decides it.
+    """
+    match = _PLAIN_LINE_RE.fullmatch
+    concepts: set[str] = set()
+    roles: set[str] = set()
+    individuals: set[str] = set()
+    abox: set[ABoxAxiom] = set()
+    for line in text.splitlines():
+        m = match(line)
+        if m is None:
+            return None
+        head, x, y, z = m.groups()
+        if head is None:
+            continue
+        if head == "RoleAssert":
+            if z is None:
+                return None
+            roles.add(x)
+            individuals.add(y)
+            individuals.add(z)
+            abox.add(RoleAssertion(x, y, z))
+            continue
+        if z is not None:
+            return None
+        if head == "ClassAssert":
+            if x in KEYWORDS:
+                return None
+            concepts.add(x)
+            individuals.add(y)
+            abox.add(ClassAssertion(Atomic(x), y))
+        else:
+            individuals.add(x)
+            individuals.add(y)
+            if head == "SameInd":
+                abox.add(Equality(x, y))
+            elif x == y:
+                return None
+            else:
+                abox.add(Inequality(x, y))
+    if concepts & roles or concepts & individuals or roles & individuals:
+        return None
+    return Ontology(
+        tbox=frozenset(),
+        abox=frozenset(abox),
+        signature=Signature(frozenset(concepts), frozenset(roles), frozenset(individuals)),
+    )
+
+
+def _parse_tokens(text: str) -> Ontology:
+    """The general parser: any document, and every error message."""
     p = _Parser(text)
     sig = _SignatureBuilder()
     tbox: set[TBoxAxiom] = set()
@@ -527,6 +610,60 @@ class _FreshNames:
         return Atomic(name)
 
 
+def _norm(
+    lhs: ConceptExpr, rhs: ConceptExpr, fresh: _FreshNames, rules: list[NormalRule]
+) -> None:
+    """Append the normal forms of ``lhs ⊑ rhs`` to ``rules``."""
+    # right side first
+    if isinstance(rhs, Conjunction):
+        for part in rhs.parts:
+            _norm(lhs, part, fresh, rules)
+        return
+    if isinstance(rhs, Existential) and not is_basic(rhs.filler):
+        x = fresh.new()
+        _norm(lhs, Existential(rhs.role, x), fresh, rules)
+        _norm(x, rhs.filler, fresh, rules)
+        return
+    if isinstance(rhs, Existential) and not is_basic(lhs):
+        x = fresh.new()
+        _norm(lhs, x, fresh, rules)
+        rules.append(RExistRhs(x, rhs.role, rhs.filler))
+        return
+    # vacuous forms
+    if isinstance(rhs, Top) or isinstance(lhs, Bottom):
+        return
+    # left side
+    if isinstance(lhs, Conjunction):
+        parts = list(lhs.parts)
+        for i, part in enumerate(parts):
+            if isinstance(part, Existential):
+                x = fresh.new()
+                _norm(part, x, fresh, rules)
+                parts[i] = x
+                _norm(conjunction(parts), rhs, fresh, rules)
+                return
+        if len(parts) == 2:
+            rules.append(RConj(parts[0], parts[1], rhs))
+            return
+        x = fresh.new()
+        rules.append(RConj(parts[0], parts[1], x))
+        _norm(conjunction([x] + parts[2:]), rhs, fresh, rules)
+        return
+    if isinstance(lhs, Existential):
+        if is_basic(lhs.filler):
+            rules.append(RExistLhs(lhs.role, lhs.filler, rhs))
+        else:
+            x = fresh.new()
+            _norm(lhs.filler, x, fresh, rules)
+            rules.append(RExistLhs(lhs.role, x, rhs))
+        return
+    # lhs basic
+    if isinstance(rhs, Existential):
+        rules.append(RExistRhs(lhs, rhs.role, rhs.filler))
+    else:
+        rules.append(RSub(lhs, rhs))
+
+
 def normalize_tbox(axioms) -> NormalizedTBox:
     """Rewrite general axioms into normal forms, introducing fresh names.
 
@@ -542,60 +679,10 @@ def normalize_tbox(axioms) -> NormalizedTBox:
     role_subs: list[SubRole] = []
     role_chains: list[RoleChain] = []
 
-    def norm(lhs: ConceptExpr, rhs: ConceptExpr) -> None:
-        # right side first
-        if isinstance(rhs, Conjunction):
-            for part in rhs.parts:
-                norm(lhs, part)
-            return
-        if isinstance(rhs, Existential) and not is_basic(rhs.filler):
-            x = fresh.new()
-            norm(lhs, Existential(rhs.role, x))
-            norm(x, rhs.filler)
-            return
-        if isinstance(rhs, Existential) and not is_basic(lhs):
-            x = fresh.new()
-            norm(lhs, x)
-            rules.append(RExistRhs(x, rhs.role, rhs.filler))
-            return
-        # vacuous forms
-        if isinstance(rhs, Top) or isinstance(lhs, Bottom):
-            return
-        # left side
-        if isinstance(lhs, Conjunction):
-            parts = list(lhs.parts)
-            for i, part in enumerate(parts):
-                if isinstance(part, Existential):
-                    x = fresh.new()
-                    norm(part, x)
-                    parts[i] = x
-                    norm(conjunction(parts), rhs)
-                    return
-            if len(parts) == 2:
-                rules.append(RConj(parts[0], parts[1], rhs))
-                return
-            x = fresh.new()
-            rules.append(RConj(parts[0], parts[1], x))
-            norm(conjunction([x] + parts[2:]), rhs)
-            return
-        if isinstance(lhs, Existential):
-            if is_basic(lhs.filler):
-                rules.append(RExistLhs(lhs.role, lhs.filler, rhs))
-            else:
-                x = fresh.new()
-                norm(lhs.filler, x)
-                rules.append(RExistLhs(lhs.role, x, rhs))
-            return
-        # lhs basic
-        if isinstance(rhs, Existential):
-            rules.append(RExistRhs(lhs, rhs.role, rhs.filler))
-        else:
-            rules.append(RSub(lhs, rhs))
-
     # a fixed order, so fresh names and rule order do not follow the hash seed
     for ax in sorted(axioms, key=str):
         if isinstance(ax, Gci):
-            norm(ax.lhs, ax.rhs)
+            _norm(ax.lhs, ax.rhs, fresh, rules)
         elif isinstance(ax, SubRole):
             role_subs.append(ax)
         elif isinstance(ax, RoleChain):

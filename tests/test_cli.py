@@ -194,6 +194,48 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def _edited_lso(tmp_path, edit):
+    """A mini_flights copy whose A1/lso-000.ont (three @ann lines, then
+    axioms) has its lines passed through ``edit``; returns the file."""
+    root = tmp_path / "corpus"
+    shutil.copytree(MINI_FLIGHTS, root)
+    lso = root / "domains" / "A1" / "lsos" / "lso-000.ont"
+    lines = lso.read_text().splitlines()
+    assert [line.split()[0] for line in lines[:4]] == ["@ann"] * 3 + ["ClassAssert(Departure"]
+    lso.write_text("\n".join(edit(lines)) + "\n")
+    return lso
+
+
+def test_lso_parse_errors_cite_file_lines(tmp_path, capsys):
+    # line 6 loses its ')', so the parser stops at the token on file line 7
+    lso = _edited_lso(tmp_path, lambda ls: ls[:5] + ["RoleAssert(hasCarrier d DL"] + ls[6:])
+    out = tmp_path / "o"
+    assert main(["materialize", "--corpus", str(tmp_path / "corpus"), "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{lso}: line 7, col 1: expected ')', got 'RoleAssert'" in err
+
+
+def test_lso_signature_conflicts_cite_file_lines(tmp_path, capsys):
+    # file line 5 uses hasCarrier as a role; the appended line uses it as a concept
+    lso = _edited_lso(tmp_path, lambda ls: ls + ["ClassAssert(hasCarrier d)"])
+    n = len(lso.read_text().splitlines())
+    out = tmp_path / "o"
+    assert main(["materialize", "--corpus", str(tmp_path / "corpus"), "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"name 'hasCarrier' used as concept at line {n} but as role at line 5" in err
+
+
+def test_cli_import_loads_neither_kb_nor_mining():
+    # only mine-roots and import-external use them, and they import them
+    code = (
+        "import sys, transferlens.cli\n"
+        "print(sorted(m for m in ('transferlens.kb', 'transferlens.mining') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import shutil
 
 import pytest
 
 from conftest import MINI_FLIGHTS
+from transferlens import ontology
 from transferlens.corpus import load_corpus
 from transferlens.errors import DataError
 from transferlens.reasoner import Entailment
@@ -169,3 +171,40 @@ def test_a_user_concept_spelled_like_a_generated_name_is_kept(tmp_path):
     assert Entailment.parse("Dep(d)") in before
     assert after == before | {Entailment.parse("_N0(d)")}
     assert Entailment.parse("SnowyDep(d)") not in after
+
+
+def test_mini_flights_lsos_take_the_plain_path(monkeypatch):
+    # only the TBox and the constraints need the token parser
+    parsed = []
+    tokens = ontology._parse_tokens
+    monkeypatch.setattr(
+        ontology, "_parse_tokens", lambda text: parsed.append(text) or tokens(text)
+    )
+    corpus = load_corpus(MINI_FLIGHTS)
+    assert sum(len(d.lsos) for d in corpus.domains) == 486
+    assert parsed == [(MINI_FLIGHTS / f).read_text() for f in ("tbox.ont", "constraints.ont")]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_restores_the_collector_state(enabled, tmp_path):
+    broken = tmp_path / "broken"
+    shutil.copytree(MINI_FLIGHTS, broken)
+    (broken / "domains" / "B2" / "lsos" / "lso-003.ont").write_text("ClassAssert(A\n")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load_corpus(MINI_FLIGHTS)
+        assert gc.isenabled() is enabled
+        with pytest.raises(DataError, match=r"lso-003\.ont: line 1"):
+            load_corpus(broken)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_load_leaves_no_cyclic_garbage():
+    # so pausing the collector for the load leaves it no garbage to find later
+    gc.collect()
+    corpus = load_corpus(MINI_FLIGHTS)
+    assert gc.collect() == 0
+    assert corpus.domains

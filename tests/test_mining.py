@@ -90,6 +90,21 @@ def test_mine_roots_bundles_both_routes():
     assert rs.root_individuals == ("d",)
 
 
+def test_mine_roots_builds_one_mask_table(monkeypatch):
+    from transferlens import mining
+
+    calls = []
+    real = mining._lso_masks
+    monkeypatch.setattr(mining, "_lso_masks", lambda d: calls.append(d.id) or real(d))
+    d = _random_domain(7)
+    rs = mine_roots(d, MiningParams(sigma=0.5, kappa=2, tau=0.5))
+    assert calls == [d.id]
+    # the same routes as the public functions, which build a table each
+    assert rs.frequent == frequent_entailments(d, 0.5)
+    assert rs.effective == effective_subsets(d, 2, 0.5)
+    assert len(calls) == 3
+
+
 def test_root_individuals_are_every_argument_in_order():
     # generated names are concepts outside the name grammar, so an individual
     # spelled like one is an ordinary individual
@@ -120,6 +135,10 @@ def test_mining_refuses_inconsistent_lsos():
     )
     with pytest.raises(DataError, match="inconsistent"):
         mine_roots(d, MiningParams(sigma=0.5, kappa=1, tau=0.0))
+    with pytest.raises(DataError, match="inconsistent"):
+        frequent_entailments(d, 0.5)
+    with pytest.raises(DataError, match="inconsistent"):
+        effective_subsets(d, 1, 0.0)
 
 
 def test_apriori_join_is_lossless_at_kappa_three():

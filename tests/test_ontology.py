@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genont import random_instance
+from genont import random_document, random_instance
 from oracles import structural_closure
 from transferlens.ontology import (
     NAME_RE,
@@ -23,6 +25,8 @@ from transferlens.ontology import (
     RSub,
     SignatureError,
     Top,
+    _parse_plain,
+    _parse_tokens,
     axioms_to_text,
     conjunction,
     is_basic,
@@ -85,6 +89,55 @@ def test_signature_partition():
     assert ont.signature.concepts == {"A", "B"}
     assert ont.signature.roles == {"r"}
     assert ont.signature.individuals == {"i", "j"}
+
+
+def test_plain_documents_take_the_plain_path():
+    doc = (
+        "# header\n\n\tClassAssert (A x) # trailing\r\n"
+        "RoleAssert( Top Some  And )\xa0\x0cSameInd(a a)\rDiffInd(x a)\n"
+    )
+    ont = _parse_plain(doc)
+    assert ont is not None and ont == _parse_tokens(doc) == parse_ontology(doc)
+    assert ont.signature.roles == {"Top"}
+    assert ont.signature.individuals == {"x", "a", "Some", "And"}
+    assert _parse_plain("") == _parse_tokens("")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "ClassAssert(Top x)",  # a keyword in concept position
+        "ClassAssert(Some x)",
+        "ClassAssert(A x)\nRoleAssert(A x y)",  # a name used as two kinds
+        "DiffInd(a a)",
+        "ClassAssert(A x) ClassAssert(B y)",  # two axioms on one line
+        "ClassAssert(A\nx)",  # one axiom on two lines
+        "ClassAssert(A x y)",
+        "RoleAssert(r a)",
+        "ClassAssert(Some(r A) x)",
+        "SubClassOf(A B)",
+        "ClassAssert(A, x)",
+    ],
+)
+def test_the_token_parser_decides_other_documents(doc):
+    assert _parse_plain(doc) is None
+
+
+def test_plain_path_agrees_with_the_token_parser():
+    plain = 0
+    rng = random.Random(19)
+    for _ in range(3000):
+        doc = random_document(rng)
+        try:
+            want = _parse_tokens(doc)
+        except OntologyError:
+            want = None
+        got = _parse_plain(doc)
+        if got is not None:
+            assert got == want, repr(doc)
+            plain += 1
+    # a fifth or more of the documents take the plain path
+    assert plain > 600
 
 
 def test_conjunction_canonicalization():
