@@ -24,11 +24,12 @@ tuning keys are the fields of :class:`.config.PipelineConfig`.  Every stage
 makes one before it reads the corpus, and making one checks every value,
 so a value any stage would refuse is a data error everywhere.  ``report``
 writes ``evidence/*.tsv`` from the rows :func:`.report.build_report` ranks.
-The modules that compute with numpy (harness, evidence, contexts, report)
-are imported inside the commands that use them, so the knowledge stages
-never load it.  ``kb`` and ``mining``, which only ``mine-roots`` and
-``import-external`` use, are imported the same way, so the other stages
-start without them.
+The transfer and evidence modules (harness, evidence, contexts, report)
+are imported inside the commands that use them.  Of these, only
+``harness``'s training functions load numpy (and ``scipy.special``), so
+``fti`` training and ``selftest`` are the only stages that load it.
+``kb`` and ``mining``, which only ``mine-roots`` and ``import-external``
+use, are imported the same way, so the other stages start without them.
 """
 
 from __future__ import annotations

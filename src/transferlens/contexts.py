@@ -15,9 +15,11 @@ space's shared result for its mask; contexts are attached on the way out.
 A set is keyed by its tuple of cluster indices in ascending order.  The
 walk is a preorder depth-first search that extends a set only by larger
 indices, so the store's insertion order is already the sorted key order.
-The walk also carries each set's ascending cluster-size profile down to
-its children (a child's is its parent's with one size inserted), and a
-set's cover count is looked up by that profile.
+The walk also carries each set's cluster-size profile down to its children
+as an int code, one base ``max_dim + 1`` digit per distinct cluster size
+counting the set's clusters of that size (a child's code is its parent's
+plus its new cluster's digit), and a set's cover count is computed once
+per code.
 
 ``iter_contexts`` expands the store to concrete contexts (for small
 universes and tests), ``rep_results`` streams one representative context
@@ -27,7 +29,6 @@ context, including one the search pruned.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -87,8 +88,11 @@ def fast_extend(context_atoms, g: Entailment, clusters: SyncClusters) -> bool:
     ci = clusters.of_entailment.get(g)
     if ci is None:
         raise DataError(f"{g} is not in the search universe")
-    touched = {clusters.of_entailment[a] for a in context_atoms}
-    return ci in touched
+    context_atoms = set(context_atoms)
+    missing = context_atoms - clusters.of_entailment.keys()
+    if missing:
+        raise DataError(f"not in the search universe: {sorted(map(str, missing))}")
+    return ci in {clusters.of_entailment[a] for a in context_atoms}
 
 
 @dataclass
@@ -146,56 +150,82 @@ class CoreContextScan:
         self.cfg = cfg
         self.results: dict[tuple[int, ...], EvidenceResult] = {}
         self.stats = SearchStats()
-        self._sizes = tuple(len(c) for c in clusters.clusters)
-        self._covers: dict[tuple[int, ...], int] = {}
+        sizes = [len(c) for c in clusters.clusters]
+        # profile codes: digit r in base max_dim + 1 counts the set's
+        # clusters of the r-th smallest size; a set has at most max_dim
+        # clusters, so no digit carries and equal codes mean equal profiles
+        self._base = cfg.max_dim + 1
+        self._distinct = sorted(set(sizes))
+        rank = {m: r for r, m in enumerate(self._distinct)}
+        self._digits = tuple(self._base ** rank[m] for m in sizes)
+        self._covers: dict[int, int] = {}
         self._ran = False
 
     # -- search ------------------------------------------------------------
 
     def run(self) -> "CoreContextScan":
+        """Walk every cluster set in preorder, extending a set only by larger
+        indices; a child's mask is its parent's ANDed with the new cluster's
+        and its profile code its parent's plus the new cluster's digit."""
         if self._ran:
             return self
         self._ran = True
         n = len(self.clusters.clusters)
         u = len(self.clusters.universe)
+        max_dim, alpha, stop = self.cfg.max_dim, self.cfg.alpha, self.cfg.early_stop
         self.stats.universe = u
         self.stats.clusters = n
-        self.stats.enumerable = sum(
-            math.comb(u, k) for k in range(2, self.cfg.max_dim + 1)
-        )
-        for i in range(n):
-            self._walk((i,), self.clusters.masks[i], (self._sizes[i],))
-        return self
+        self.stats.enumerable = sum(math.comb(u, k) for k in range(2, max_dim + 1))
+        masks, digits = self.clusters.masks, self._digits
+        results, covers, cover_of = self.results, self._covers, self._cover
+        # the space's per-mask store, read here first: a set's mask is
+        # nearly always scored already, and a lookup costs less than a call
+        score_mask, scored = self.space.score_mask, self.space._scored
+        evaluated = covered = valid = early_stopped = 0
 
-    def _walk(self, idxs: tuple[int, ...], mask: int, profile: tuple[int, ...]) -> None:
-        # ``profile`` is the set's cluster sizes in ascending order
-        res = self.results[idxs] = self.space.score_mask(mask)
-        cover = self._cover(profile)
-        self.stats.evaluated += 1
-        self.stats.covered += cover
-        if res.valid:
-            self.stats.valid += cover
-        if len(idxs) >= self.cfg.max_dim:
-            return
-        if self.cfg.early_stop and len(idxs) >= 2 and early_stop(res, self.cfg.alpha):
-            self.stats.early_stopped += 1
-            return
-        for nxt in range(idxs[-1] + 1, len(self.clusters.clusters)):
-            child_mask = mask & self.clusters.masks[nxt]
-            # evidence domains can only shrink along an extension
-            assert not child_mask & ~mask, "evidence-domain growth"
-            size = self._sizes[nxt]
-            at = bisect.bisect(profile, size)
-            self._walk(idxs + (nxt,), child_mask, profile[:at] + (size,) + profile[at:])
+        def walk(idxs: tuple[int, ...], mask: int, code: int) -> None:
+            nonlocal evaluated, covered, valid, early_stopped
+            res = scored.get(mask) or score_mask(mask)
+            results[idxs] = res
+            cover = covers.get(code)
+            if cover is None:
+                cover = cover_of(code)
+            evaluated += 1
+            covered += cover
+            if res.valid:
+                valid += cover
+            depth = len(idxs)
+            if depth >= max_dim:
+                return
+            if stop and depth >= 2 and early_stop(res, alpha):
+                early_stopped += 1
+                return
+            for nxt in range(idxs[-1] + 1, n):
+                child_mask = mask & masks[nxt]
+                # evidence domains can only shrink along an extension
+                assert not child_mask & ~mask, "evidence-domain growth"
+                walk(idxs + (nxt,), child_mask, code + digits[nxt])
+
+        for i in range(n):
+            walk((i,), masks[i], digits[i])
+        st = self.stats
+        st.evaluated, st.covered, st.valid, st.early_stopped = (
+            evaluated, covered, valid, early_stopped
+        )
+        return self
 
     # -- result access -----------------------------------------------------
 
-    def _cover(self, sizes: tuple[int, ...]) -> int:
-        """Concrete contexts a cluster set with these ascending sizes covers."""
-        cover = self._covers.get(sizes)
+    def _cover(self, code: int) -> int:
+        """Concrete contexts a cluster set with this profile code covers."""
+        cover = self._covers.get(code)
         if cover is None:
+            sizes, rest = [], code
+            for m in self._distinct:
+                rest, count = divmod(rest, self._base)
+                sizes += [m] * count
             lo, hi = max(2, len(sizes)), self.cfg.max_dim
-            cover = self._covers[sizes] = _count_expansions(list(sizes), lo, hi)
+            cover = self._covers[code] = _count_expansions(sizes, lo, hi)
         return cover
 
     def rep_results(self):
@@ -204,8 +234,8 @@ class CoreContextScan:
         reps = self.clusters.reps
         for key, res in self.results.items():
             context = CoreContext(frozenset(reps[i] for i in key))
-            sizes = tuple(sorted(self._sizes[i] for i in key))
-            yield context, replace(res, evidence=context), self._cover(sizes)
+            code = sum(self._digits[i] for i in key)
+            yield context, replace(res, evidence=context), self._cover(code)
 
     def iter_contexts(self):
         """Every covered concrete context with its (inherited) result.

@@ -12,15 +12,17 @@ strong enough, significant enough, and supported by enough pairs.
 Invalid results carry a reason code instead of raising: batch runs over many
 domains routinely hit evidence with no supporting pairs or constant
 embeddings, and those outcomes are findings, not errors.
+
+The layer computes with the standard library alone, so scoring loads
+neither numpy nor scipy; its kernels still accept numpy arrays as input.
 """
 
 from __future__ import annotations
 
+import array
 import enum
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .config import check_thresholds
 from .domain import LearningDomain, membership_masks
@@ -80,22 +82,48 @@ def dec(evidence_atoms, target_atoms) -> int:
 
 
 def pearson(x, y) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DataError(f"pearson needs two equal-length vectors, got {x.shape} and {y.shape}")
-    n = x.shape[0]
+    """Pearson's r of two equal-length vectors (sequences or 1-D arrays).
+
+    The means and the three sums of products are ``math.fsum``s, each
+    exactly rounded, so r does not depend on the order of the samples.
+    """
+    xs, ys = _vector(x), _vector(y)
+    if xs is None or ys is None or len(xs) != len(ys):
+        raise DataError(
+            f"pearson needs two equal-length vectors, got {_shape(x)} and {_shape(y)}"
+        )
+    n = len(xs)
     if n < 2:
         raise DataError(f"pearson needs at least 2 samples, got {n}")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
+    mx = math.fsum(xs) / n
+    my = math.fsum(ys) / n
+    dx = [a - mx for a in xs]
+    dy = [b - my for b in ys]
+    sxx = math.fsum([a * a for a in dx])
+    syy = math.fsum([b * b for b in dy])
     if sxx == 0.0:
         raise DataError("pearson undefined: first vector has zero variance")
     if syy == 0.0:
         raise DataError("pearson undefined: second vector has zero variance")
-    return float(dx @ dy) / math.sqrt(sxx * syy)
+    sxy = math.fsum([a * b for a, b in zip(dx, dy)])
+    return sxy / math.sqrt(sxx * syy)
+
+
+def _vector(v) -> list[float] | None:
+    """``v`` as a list of floats, or None unless it is one-dimensional."""
+    if getattr(v, "ndim", 1) != 1:
+        return None
+    try:
+        return [float(a) for a in v]
+    except TypeError:
+        return None
+
+
+def _shape(v):
+    shape = getattr(v, "shape", None)
+    if shape is not None:
+        return shape
+    return (len(v),) if hasattr(v, "__len__") else type(v).__name__
 
 
 def p_value(r: float, n: int) -> float:
@@ -260,19 +288,26 @@ class EvidenceSpace:
     comparison set: domain closures, usable ordered pairs, the aligned
     transfer-index vector, and each entailment's domain mask (bit i set
     when domain i's closure holds it).  Directed co-existence evidence
-    depends only on its mask, and each mask is scored once per space."""
+    depends only on its mask, and each mask is scored once per space.
+
+    The pair indices and transfer values are kept as tuples of Python
+    numbers; direct construction may pass any sequences, numpy arrays
+    included."""
 
     ids: tuple[str, ...]
     closures: tuple[frozenset[Entailment], ...]
-    pair_src: np.ndarray
-    pair_dst: np.ndarray
-    fti_vec: np.ndarray
+    pair_src: tuple[int, ...]
+    pair_dst: tuple[int, ...]
+    fti_vec: tuple[float, ...]
     epsilon: float
     alpha: float
     n_min: int
 
     def __post_init__(self):
         check_thresholds(self.epsilon, self.alpha)
+        self.pair_src = tuple(int(i) for i in self.pair_src)
+        self.pair_dst = tuple(int(j) for j in self.pair_dst)
+        self.fti_vec = tuple(float(v) for v in self.fti_vec)
         self.masks: dict[Entailment, int] = membership_masks(self.closures)
         self._scored: dict[int, EvidenceResult] = {}
 
@@ -309,9 +344,9 @@ class EvidenceSpace:
         return EvidenceSpace(
             ids=ids,
             closures=closures,
-            pair_src=np.array(src, dtype=np.intp),
-            pair_dst=np.array(dst, dtype=np.intp),
-            fti_vec=np.array(vals, dtype=np.float64),
+            pair_src=tuple(src),
+            pair_dst=tuple(dst),
+            fti_vec=tuple(vals),
             epsilon=epsilon,
             alpha=alpha,
             n_min=n_min,
@@ -324,44 +359,44 @@ class EvidenceSpace:
             out &= self.masks.get(g, 0)
         return out
 
-    def correlate(self, v_e: np.ndarray, v_f: np.ndarray, n: int):
+    def correlate(self, v_e, v_f, n: int):
         """The one correlation kernel every evidence path funnels through."""
         if n < max(self.n_min, 3):
             return None, None, "insufficient-samples", False
-        if np.all(v_e == v_e[0]) or np.all(v_f == v_f[0]):
+        if _constant(v_e) or _constant(v_f):
             return None, None, "zero-variance", False
         gamma = pearson(v_e, v_f)
         rho = p_value(gamma, n)
         valid = abs(gamma) >= self.epsilon and rho <= self.alpha
         return gamma, rho, None, valid
 
-    def score_membership(self, evidence: Evidence | None, member: np.ndarray) -> EvidenceResult:
-        """Score directed co-existence evidence given its domain membership."""
-        if not member.any():
-            return EvidenceResult(evidence, None, None, 0, False, "no-evidence-domains")
-        sel = member[self.pair_src]
-        n = int(sel.sum())
+    def score_membership(self, evidence: Evidence | None, member) -> EvidenceResult:
+        """Score directed co-existence evidence given its domain membership,
+        a sequence of one truth value per domain."""
+        sel = [k for k, i in enumerate(self.pair_src) if member[i]]
+        n = len(sel)
         if n == 0:
             return EvidenceResult(evidence, None, None, 0, False, "no-evidence-domains")
-        v_e = member[self.pair_dst][sel].astype(np.float64)
-        v_f = self.fti_vec[sel]
+        dst, fti = self.pair_dst, self.fti_vec
+        v_e = [1.0 if member[dst[k]] else 0.0 for k in sel]
+        v_f = [fti[k] for k in sel]
         gamma, rho, reason, valid = self.correlate(v_e, v_f, n)
         return EvidenceResult(evidence, gamma, rho, n, valid, reason)
 
     def score_general(self, evidence: GeneralFactor) -> EvidenceResult:
-        v_e = np.empty(len(self.fti_vec), dtype=np.float64)
-        for k, (i, j) in enumerate(zip(self.pair_src, self.pair_dst)):
-            rates = change_rates(self.closures[i], self.closures[j])
-            v_e[k] = getattr(rates, _FIELD[evidence.kind])
-        n = len(v_e)
-        gamma, rho, reason, valid = self.correlate(v_e, self.fti_vec, n)
-        return EvidenceResult(evidence, gamma, rho, n, valid, reason)
+        field = _FIELD[evidence.kind]
+        v_e = [
+            getattr(change_rates(self.closures[i], self.closures[j]), field)
+            for i, j in zip(self.pair_src, self.pair_dst)
+        ]
+        gamma, rho, reason, valid = self.correlate(v_e, self.fti_vec, len(v_e))
+        return EvidenceResult(evidence, gamma, rho, len(v_e), valid, reason)
 
     def score_mask(self, mask: int) -> EvidenceResult:
         """The stored result of a domain mask, scored once per space; evidence None."""
         stored = self._scored.get(mask)
         if stored is None:
-            member = np.array([mask >> i & 1 for i in range(len(self.ids))], dtype=bool)
+            member = array.array("B", [mask >> i & 1 for i in range(len(self.ids))])
             stored = self._scored[mask] = self.score_membership(None, member)
         return stored
 
@@ -373,6 +408,11 @@ class EvidenceSpace:
         else:
             atoms = evidence.entailments
         return replace(self.score_mask(self.membership(atoms)), evidence=evidence)
+
+
+def _constant(v) -> bool:
+    first = v[0]
+    return all(a == first for a in v)
 
 
 _FIELD = {

@@ -32,6 +32,11 @@ forked from it, each fitting every stack over its own chunk.  The per-seed
 AUCs are joined in seed order before the mean is taken, so the records do
 not depend on the number of processes.  Where the affinity mask allows one
 CPU (``taskset -c 0``), or the platform cannot fork, it runs serially.
+
+numpy is imported inside the functions that compute with it, so the
+record type and its CSV reader and writer (``records_from_csv``,
+``fti_from_records``, ``records_to_csv``) load no numpy: ``fti --auc-csv``,
+``report`` and ``explain`` ingest measured AUCs without it.
 """
 
 from __future__ import annotations
@@ -41,8 +46,7 @@ import logging
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import TrainConfig, check_weights
 from .domain import (
@@ -53,6 +57,9 @@ from .domain import (
     value_properties,
 )
 from .errors import DataError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -86,6 +93,7 @@ def _check_labels(y: np.ndarray, what: str) -> None:
 def predict_proba(stack: Model, x: np.ndarray) -> np.ndarray:
     """Class-1 probabilities of every network of a stack on the rows of
     ``x``, as an (S, E, n) array, in one batched forward pass."""
+    import numpy as np
     from scipy.special import expit
 
     x = np.asarray(x, dtype=np.float64)
@@ -115,6 +123,7 @@ def _fit(
     elementwise or a reduction along the same axis, so each slot is
     bit-identical to fitting its network alone.
     """
+    import numpy as np
     from scipy.special import expit
 
     n = len(y)
@@ -151,17 +160,23 @@ def _standardize_params(x: np.ndarray):
 
 
 def _fresh_head(d_hidden: int, rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
+
     return rng.normal(0.0, np.sqrt(1.0 / d_hidden), size=d_hidden)
 
 
 def _rngs(seeds: Sequence[int]) -> list[np.random.Generator]:
     """One generator per seed of a stack."""
+    import numpy as np
+
     if not len(seeds):
         raise DataError("a model stack needs at least one seed")
     return [np.random.default_rng(s) for s in seeds]
 
 
 def _checked_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.shape != (len(x),):
@@ -181,6 +196,8 @@ def train_within(
     Gives a (1, E) stack whose slot ``(0, k)`` is the network of
     ``seeds[k]`` fit alone.
     """
+    import numpy as np
+
     x, y = _checked_xy(x, y)
     rngs = _rngs(seeds)
     d = x.shape[1]
@@ -219,6 +236,8 @@ def transfer(
     source in row s adapted alone at ``seeds[k]``; the sources are not
     changed.
     """
+    import numpy as np
+
     if mode not in ("hard", "soft"):
         raise DataError(f"unknown transfer mode {mode!r} (expected hard or soft)")
     x, y = _checked_xy(x, y)
@@ -253,6 +272,8 @@ def auc(labels: np.ndarray, scores: np.ndarray) -> float:
     the ranks they span, the half-integers ``scipy.stats.rankdata`` gives,
     computed here in numpy so that scoring loads no scipy.
     """
+    import numpy as np
+
     labels = np.asarray(labels, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     if labels.ndim != 1 or labels.shape != scores.shape:
@@ -357,6 +378,8 @@ def evaluate_pair(
     1 x 1 ``train_within`` or ``transfer`` stack, and the seed-k source
     model is adapted to ``dst`` at seed ``cfg.seed + k`` in each mode.
     """
+    import numpy as np
+
     seeds = _seed_list(cfg)
     xd, yd = _train_split(dst)
     xs, ys = _train_split(src)
@@ -461,6 +484,8 @@ def fti_matrix(
     the mean of the per-seed AUCs of all chunks joined in seed order: the
     same list, in the same order, whatever the number of chunks.
     """
+    import numpy as np
+
     check_weights(omega1, omega2)
     datasets = prepare_datasets(domains, cfg)
     seeds = _seed_list(cfg)

@@ -626,14 +626,40 @@ def test_knowledge_stages_and_auc_ingestion_load_no_scipy(tmp_path):
     assert _modules_after(stages, tmp_path / "out")["scipy"] == set()
 
 
-def test_report_and_explain_load_no_scipy(tmp_path):
-    # every ordered pair is measured, so both stages compute significances
+def test_report_and_explain_load_neither_numpy_nor_scipy(tmp_path):
+    # the tracker sees numpy where it is loaded: training computes with it
+    trained = _modules_after([["fti", "--epochs", "2", "--ensemble", "1"]], tmp_path / "trained")
+    assert "numpy" in trained["numpy"]
+    # every ordered pair is measured, so both stages compute significances;
+    # explain reads the AUCs that fti --auc-csv stored
     csv = str(_two_family_aucs(tmp_path / "measured.csv"))
-    stages = [["report", "--auc-csv", csv], ["explain", "--evidence", "d_obs", "--auc-csv", csv]]
+    stages = [["fti", "--auc-csv", csv], ["report", "--auc-csv", csv], ["explain", "--evidence", "d_obs"]]
     loaded = _modules_after(stages, tmp_path / "out")
-    assert "numpy" in loaded["numpy"]
-    assert loaded["scipy"] == set()
+    assert loaded == {"numpy": set(), "scipy": set()}
     assert json.loads((tmp_path / "out" / "report.json").read_text())["general"][0]["rho"] is not None
+
+
+_SCAN = """\
+import json, sys
+from transferlens.contexts import SearchConfig, core_context_search
+from transferlens.corpus import load_corpus
+from transferlens.harness import fti_from_records, records_from_csv
+corpus = load_corpus(sys.argv[1])
+fti = fti_from_records(records_from_csv(sys.argv[2]))
+scan = core_context_search(corpus.domains, fti, SearchConfig(max_dim=3, early_stop=False))
+assert scan.stats.evaluated > 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
+"""
+
+
+def test_scan_of_measured_aucs_loads_neither_numpy_nor_scipy(tmp_path):
+    # the imports and calls of an exhaustive scan script over a measured CSV
+    csv = _two_family_aucs(tmp_path / "measured.csv")
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCAN, str(MINI_FLIGHTS), str(csv)], capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_training_and_report_load_no_scipy_stats(tmp_path):

@@ -165,6 +165,9 @@ def test_fast_extend_is_cluster_membership():
     assert not fast_extend([], _g("C"), cl)
     with pytest.raises(DataError, match="not in the search universe"):
         fast_extend([_g("A")], _g("Zed"), cl)
+    # a context atom outside the universe is named, as lookup names it
+    with pytest.raises(DataError, match=r"not in the search universe: \['Q\(q\)', 'Z\(q\)'\]"):
+        fast_extend([_g("A"), Entailment.parse("Z(q)"), Entailment.parse("Q(q)")], _g("B"), cl)
 
 
 def test_synchronized_extension_inherits_result_exactly():
@@ -257,6 +260,57 @@ def test_stats_rebuild_from_the_store(stop):
         st = scan.stats
         assert (covered, valid, inherited) == (st.covered, st.valid, st.inherited), seed
     assert pruned == stop, "fixtures must prune exactly when early stop is on"
+
+
+def sized_space(seed, sizes, n_domains=6, alpha=0.4):
+    """A space whose clusters have the given sizes: cluster c's atoms hold in
+    the domains of a random mask of its own."""
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(np.arange(1, 2**n_domains), size=len(sizes), replace=False)
+    closures = [set() for _ in range(n_domains)]
+    for c, (size, mask) in enumerate(zip(sizes, picks)):
+        for i in range(n_domains):
+            if int(mask) >> i & 1:
+                closures[i].update(_g(f"C{c}x{k}") for k in range(size))
+    pairs = [(i, j) for i in range(n_domains) for j in range(n_domains) if i != j]
+    space = EvidenceSpace(
+        ids=tuple(f"D{i}" for i in range(n_domains)),
+        closures=tuple(frozenset(c) for c in closures),
+        pair_src=[i for i, _ in pairs],
+        pair_dst=[j for _, j in pairs],
+        fti_vec=rng.normal(size=len(pairs)),
+        epsilon=0.1,
+        alpha=alpha,
+        n_min=3,
+    )
+    return space, _cluster_closures(space.masks, set())
+
+
+@pytest.mark.parametrize("stop", [False, True])
+def test_profile_codes_never_collide(stop):
+    # seven clusters of one size can fill a digit up to max_dim, and sizes
+    # of 30 and more sit beside small ones in the digits' size ranks
+    sizes = [2] * 7 + [1, 3, 30, 31, 45]
+    pruned = False
+    for max_dim in range(2, 7):
+        space, clusters = sized_space(max_dim, sizes)
+        assert sorted(len(c) for c in clusters.clusters) == sorted(sizes)
+        cfg = SearchConfig(max_dim=max_dim, alpha=0.4, early_stop=stop)
+        scan = CoreContextScan(space, clusters, cfg).run()
+        pruned |= scan.stats.early_stopped > 0
+        covered = valid = 0
+        profiles = set()
+        for key, res in scan.results.items():
+            profile = sorted(len(clusters.clusters[i]) for i in key)
+            profiles.add(tuple(profile))
+            cover = _count_expansions(profile, max(2, len(key)), max_dim)
+            covered += cover
+            valid += cover if res.valid else 0
+        assert (scan.stats.covered, scan.stats.valid) == (covered, valid), max_dim
+        assert len(scan._covers) == len(profiles), max_dim
+        if not stop:
+            assert scan.stats.covered == scan.stats.enumerable
+    assert pruned == stop
 
 
 def test_early_stop_prunes_but_never_lies():
