@@ -22,7 +22,7 @@ _EXPORTS = {
     "config": ("MiningParams", "SearchConfig", "TrainConfig"),
     "contexts": (
         "CoreContextScan", "SearchStats", "SyncClusters", "core_context_search",
-        "early_stop", "fast_extend", "sync_clusters",
+        "fast_extend", "sync_clusters",
     ),
     "corpus": ("Corpus", "load_corpus"),
     "domain": (

@@ -28,6 +28,7 @@ class MiningParams:
     kappa_cap: int = 2
 
     def __post_init__(self):
+        _check_integers(self, "kappa", "kappa_cap")
         if not 0.0 < self.sigma <= 1.0:
             raise DataError(f"sigma must be in (0, 1], got {self.sigma}")
         if not 0.0 <= self.tau <= 2.0:
@@ -54,10 +55,7 @@ class TrainConfig:
     def __post_init__(self):
         # the stack shapes come from these, so a float or a bool must not
         # get as far as numpy
-        for key in ("hidden", "epochs", "batch_size", "ensemble", "seed"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DataError(f"{key} must be an integer, got {value!r}")
+        _check_integers(self, "hidden", "epochs", "batch_size", "ensemble", "seed")
         if self.hidden < 1 or self.epochs < 1 or self.batch_size < 1:
             raise DataError("hidden, epochs and batch_size must be positive")
         if not 0.0 < self.lr < math.inf:  # NaN fails this test too
@@ -67,6 +65,14 @@ class TrainConfig:
         check_train_frac(self.train_frac)
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
+
+
+def _check_integers(cfg, *keys: str) -> None:
+    """Each named field is an integer, a numpy one included; a float or a bool is not."""
+    for key in keys:
+        value = getattr(cfg, key)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DataError(f"{key} must be an integer, got {value!r}")
 
 
 def check_train_frac(train_frac: float) -> None:
@@ -91,6 +97,7 @@ class SearchConfig:
     early_stop: bool = True
 
     def __post_init__(self):
+        _check_integers(self, "max_dim", "n_min")
         if self.max_dim < 2:
             raise DataError(f"max_dim must be at least 2, got {self.max_dim}")
         check_thresholds(self.epsilon, self.alpha)
@@ -108,7 +115,9 @@ _SECTIONS = (("mining", MiningParams), ("train", TrainConfig), ("search", Search
 
 
 def _tuning_fields(cls):
-    # early_stop trades speed for an exhaustive scan; it stays a library-only switch
+    # early_stop picks the walk, not the result: with it, every set of one or two
+    # clusters is scanned and a larger one only when it or an extension of it is
+    # valid, so both walks find the same valid sets; it stays a library-only switch
     return [f for f in fields(cls) if f.name != "early_stop"]
 
 

@@ -6,9 +6,9 @@ depend only on its mask, the AND of its entailments' masks, which the
 clusters the context touches determine, whichever member of a cluster was
 picked.  The search therefore walks sets of cluster representatives, and
 every concrete context a set covers inherits its result; the evidence space
-scores each distinct mask once.  On top of that, extension of a scored
-context stops early when its significance is hopeless, since adding
-entailments only shrinks the evidence domains.
+scores each distinct mask once.  With ``early_stop`` the walk scans every
+set of one or two clusters but enters a larger set only when it or an
+extension of it is valid, an exact test memoized over masks.
 
 The scan's result store holds, per scanned cluster set, the evidence
 space's shared result for its mask; contexts are attached on the way out.
@@ -29,6 +29,7 @@ context, including one the search pruned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -77,11 +78,6 @@ def _cluster_closures(masks: dict[Entailment, int], targets) -> SyncClusters:
     )
 
 
-def early_stop(result: EvidenceResult, alpha: float) -> bool:
-    """Extension is pointless: significance is undefined or already lost."""
-    return result.rho is None or result.rho > alpha
-
-
 def fast_extend(context_atoms, g: Entailment, clusters: SyncClusters) -> bool:
     """True when ``g`` is synchronized with the context: its cluster is
     already represented, so the extended context keeps the same statistics."""
@@ -101,7 +97,6 @@ class SearchStats:
     clusters: int = 0
     enumerable: int = 0
     evaluated: int = 0
-    early_stopped: int = 0
     covered: int = 0
     valid: int = 0
 
@@ -172,7 +167,7 @@ class CoreContextScan:
         self._ran = True
         n = len(self.clusters.clusters)
         u = len(self.clusters.universe)
-        max_dim, alpha, stop = self.cfg.max_dim, self.cfg.alpha, self.cfg.early_stop
+        max_dim, stop = self.cfg.max_dim, self.cfg.early_stop
         self.stats.universe = u
         self.stats.clusters = n
         self.stats.enumerable = sum(math.comb(u, k) for k in range(2, max_dim + 1))
@@ -181,10 +176,19 @@ class CoreContextScan:
         # the space's per-mask store, read here first: a set's mask is
         # nearly always scored already, and a lookup costs less than a call
         score_mask, scored = self.space.score_mask, self.space._scored
-        evaluated = covered = valid = early_stopped = 0
+        evaluated = covered = valid = 0
+        # memoized on (mask, i, k) with no budget: each key stands for a cluster
+        # set and costs O(n), so reach costs at most the exhaustive walk, and
+        # it recurses at most max_dim deep
+        @functools.cache
+        def reach(mask: int, i: int, k: int) -> bool:
+            """This mask, or it ANDed with up to k masks of clusters i on, is valid."""
+            return (scored.get(mask) or score_mask(mask)).valid or k > 0 and any(
+                reach(mask & masks[j], j + 1, k - 1) for j in range(i, n)
+            )
 
         def walk(idxs: tuple[int, ...], mask: int, code: int) -> None:
-            nonlocal evaluated, covered, valid, early_stopped
+            nonlocal evaluated, covered, valid
             res = scored.get(mask) or score_mask(mask)
             results[idxs] = res
             cover = covers.get(code)
@@ -197,21 +201,17 @@ class CoreContextScan:
             depth = len(idxs)
             if depth >= max_dim:
                 return
-            if stop and depth >= 2 and early_stop(res, alpha):
-                early_stopped += 1
-                return
             for nxt in range(idxs[-1] + 1, n):
                 child_mask = mask & masks[nxt]
                 # evidence domains can only shrink along an extension
                 assert not child_mask & ~mask, "evidence-domain growth"
-                walk(idxs + (nxt,), child_mask, code + digits[nxt])
+                if not stop or depth < 2 or reach(child_mask, nxt + 1, max_dim - depth - 1):
+                    walk(idxs + (nxt,), child_mask, code + digits[nxt])
 
         for i in range(n):
             walk((i,), masks[i], digits[i])
         st = self.stats
-        st.evaluated, st.covered, st.valid, st.early_stopped = (
-            evaluated, covered, valid, early_stopped
-        )
+        st.evaluated, st.covered, st.valid = evaluated, covered, valid
         return self
 
     # -- result access -----------------------------------------------------

@@ -166,7 +166,7 @@ def build_report(
 
     lines.append("General factors")
     lines.append("---------------")
-    for res in general:
+    for res, _ in ranked["general"]:
         lines.append(render_result(res))
     if not general:
         lines.append("(none scored)")
@@ -189,7 +189,7 @@ def build_report(
         "domains": list(domain_ids),
         "pairs": n_pairs,
         "fti": {f"{s}->{t}": v for (s, t), v in sorted(fti.items())},
-        "general": [_to_json(r) for r in general],
+        "general": [_to_json(r) for r, _ in ranked["general"]],
         "narrators": [_to_json(r) for r, _ in ranked["narrators"]],
         "contexts": [_to_json(r, c) for r, c in ranked["contexts"]],
     }

@@ -16,7 +16,7 @@ CRITERIA = {
     2: "flight fixture closure exact; 200 random closures match the naive oracle in under 5 s",
     3: "pearson and p_value match independent oracles on 100 random vectors; worked examples hold",
     4: "1000 synchronized extensions carry bit-identical (gamma, rho)",
-    5: "pruned search equals exhaustive enumeration with early stop off, under 30 s",
+    5: "pruned search equals exhaustive enumeration; early stop keeps every valid set, under 30 s",
     6: "transfer-index signs on a 20x20 grid; domain-shrink asserts; mining anti-monotone P1-P5",
     7: "obsolescence factor discriminates over 10 seeds; planted context recovered",
     8: "homonym entity rejected, airport accepted, all post-import observations consistent",

@@ -202,7 +202,12 @@ def test_c4_synchronized_extensions_bit_identical(flights, flights_fti, flights_
         ), f"trial {trial}"
 
 
-# -- criterion 5: pruning is lossless without early stop -------------------------------
+# -- criterion 5: pruning is lossless, and early stop loses no valid set ---------------
+
+
+def _valid_sets(scan):
+    """A scan's valid cluster sets with their full result tuples."""
+    return {key: _result_key(res) for key, res in scan.results.items() if res.valid}
 
 
 def test_c5_pruned_search_equals_exhaustive():
@@ -221,6 +226,10 @@ def test_c5_pruned_search_equals_exhaustive():
         assert got.keys() == want.keys(), f"seed {seed}"
         for key in want:  # zero tolerance, full result tuple
             assert got[key] == _result_key(want[key]), f"seed {seed}: {key}"
+        # the early-stop walk keeps exactly the exhaustive walk's valid sets
+        fast = CoreContextScan(space, clusters, SearchConfig(max_dim=4)).run()
+        assert _valid_sets(fast) == _valid_sets(scan), f"seed {seed}"
+        assert fast.stats.valid == scan.stats.valid, f"seed {seed}"
     elapsed = perf_counter() - t0
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
 
@@ -313,6 +322,12 @@ def test_c7_end_to_end_discrimination(flights, flights_fti, flights_scan):
     res, cover = covered[key]
     assert res.valid and cover >= 1
     assert (res.gamma, res.rho) == (look.gamma, look.rho)
+
+    # the report's early-stop scan finds every valid set the exhaustive one does
+    full = CoreContextScan(flights_scan.space, flights_scan.clusters, SearchConfig(early_stop=False))
+    full.run()
+    assert _valid_sets(flights_scan) == _valid_sets(full)
+    assert flights_scan.stats.valid == full.stats.valid
 
     elapsed = perf_counter() - t0
     assert elapsed < 600.0, f"took {elapsed:.1f}s"

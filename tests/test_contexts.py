@@ -16,7 +16,6 @@ from transferlens.contexts import (
     _cluster_closures,
     _count_expansions,
     core_context_search,
-    early_stop,
     fast_extend,
     sync_clusters,
 )
@@ -85,6 +84,11 @@ def _result_key(res: EvidenceResult):
     return (res.gamma, res.rho, res.n, res.valid, res.reason)
 
 
+def exhaustive_count(clusters, max_dim):
+    """Cluster sets the exhaustive walk scores: every set of 1..max_dim clusters."""
+    return sum(math.comb(len(clusters.clusters), k) for k in range(1, max_dim + 1))
+
+
 # -- clustering ---------------------------------------------------------------
 
 
@@ -139,19 +143,6 @@ def test_single_domain_forms_one_cluster():
 
 
 # -- pruning primitives ---------------------------------------------------------
-
-
-def test_early_stop_rule():
-    ctx = CoreContext(frozenset({_g("A")}))
-    assert early_stop(EvidenceResult(ctx, 0.5, 0.2, 10, False), 0.05)
-    assert not early_stop(EvidenceResult(ctx, 0.5, 0.01, 10, True), 0.05)
-    # undefined significance can only get worse under extension
-    assert early_stop(
-        EvidenceResult(ctx, None, None, 2, False, "insufficient-samples"), 0.05
-    )
-    assert early_stop(
-        EvidenceResult(ctx, None, None, 8, False, "zero-variance"), 0.05
-    )
 
 
 def test_fast_extend_is_cluster_membership():
@@ -248,7 +239,7 @@ def test_stats_rebuild_from_the_store(stop):
         space, clusters = synth_space(seed, n_domains=4, n_atoms=10, alpha=0.4)
         cfg = SearchConfig(max_dim=4, alpha=0.4, early_stop=stop)
         scan = CoreContextScan(space, clusters, cfg).run()
-        pruned |= scan.stats.early_stopped > 0
+        pruned |= scan.stats.evaluated < exhaustive_count(clusters, cfg.max_dim)
         covered = valid = inherited = 0
         for key, res in scan.results.items():
             sizes = sorted(len(clusters.clusters[i]) for i in key)
@@ -297,7 +288,7 @@ def test_profile_codes_never_collide(stop):
         assert sorted(len(c) for c in clusters.clusters) == sorted(sizes)
         cfg = SearchConfig(max_dim=max_dim, alpha=0.4, early_stop=stop)
         scan = CoreContextScan(space, clusters, cfg).run()
-        pruned |= scan.stats.early_stopped > 0
+        pruned |= scan.stats.evaluated < exhaustive_count(clusters, max_dim)
         covered = valid = 0
         profiles = set()
         for key, res in scan.results.items():
@@ -314,43 +305,31 @@ def test_profile_codes_never_collide(stop):
 
 
 def test_early_stop_prunes_but_never_lies():
-    lost_valid = 0
     total_valid = 0
     pruned_something = False
-    for seed in range(12):
-        space, clusters = synth_space(seed, alpha=0.4)
-        cfg_off = SearchConfig(max_dim=4, alpha=0.4, early_stop=False)
-        cfg_on = SearchConfig(max_dim=4, alpha=0.4, early_stop=True)
+    # every synth_space fixture of this file
+    fixtures = [synth_space(seed, alpha=0.4) for seed in range(12)]
+    fixtures += [synth_space(seed) for seed in range(12)]
+    fixtures += [synth_space(seed, n_domains=4, n_atoms=10, alpha=0.4) for seed in range(6)]
+    fixtures += [synth_space(2, n_domains=3, n_atoms=9), synth_space(4, alpha=0.01)]
+    for k, (space, clusters) in enumerate(fixtures):
+        cfg_off = SearchConfig(max_dim=4, early_stop=False)
+        cfg_on = SearchConfig(max_dim=4, early_stop=True)
         full = CoreContextScan(space, clusters, cfg_off).run()
         fast = CoreContextScan(space, clusters, cfg_on).run()
-        pruned_something |= fast.stats.early_stopped > 0
+        assert full.stats.evaluated == exhaustive_count(clusters, cfg_off.max_dim)
+        pruned_something |= fast.stats.evaluated < full.stats.evaluated
 
         # whatever the pruned search reports is exactly what the full search has
         for key, res in fast.results.items():
             assert _result_key(res) == _result_key(full.results[key])
-
-        # a context is never skipped while its whole ancestor chain stays
-        # significant: walking prefixes in canonical order, extension is only
-        # cut after an insignificant step
-        for key, res in full.results.items():
-            idxs = tuple(sorted(key))
-            if len(idxs) < 2:
-                continue
-            chain_ok = all(
-                not early_stop(full.results[idxs[:j]], cfg_on.alpha)
-                for j in range(2, len(idxs))
-            )
-            if chain_ok:
-                assert key in fast.results, f"seed {seed}: skipped {sorted(key)}"
-            if res.valid:
-                total_valid += 1
-                if key not in fast.results:
-                    lost_valid += 1
+        # and it keeps every valid cluster set, so the valid cover is exact
+        valid = {key for key, res in full.results.items() if res.valid}
+        assert valid <= fast.results.keys(), f"fixture {k}: lost {sorted(valid - fast.results.keys())}"
+        assert fast.stats.valid == full.stats.valid, f"fixture {k}"
+        total_valid += len(valid)
     assert pruned_something, "fixtures never triggered the early stop"
-    # heuristic pruning may lose valid contexts; report the rate, assert nothing
-    print(
-        f"\nearly-stop loss: {lost_valid}/{total_valid} valid contexts pruned"
-    )
+    assert total_valid > 0, "fixtures hold no valid cluster set"
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
@@ -484,6 +463,11 @@ def test_lookup_rejects_unknown_atoms_and_empty_contexts():
 def test_search_config_validation():
     with pytest.raises(DataError, match="max_dim"):
         SearchConfig(max_dim=1)
+    # a float depth would reach the walk as a bare TypeError
+    for key, bad in (("max_dim", 4.0), ("max_dim", True), ("n_min", 3.5), ("n_min", "3")):
+        with pytest.raises(DataError, match=f"{key} must be an integer"):
+            SearchConfig(**{key: bad})
+    SearchConfig(max_dim=np.int64(3), n_min=np.int32(2))
     with pytest.raises(DataError, match="alpha"):
         SearchConfig(alpha=0.0)
     with pytest.raises(DataError, match="alpha"):

@@ -121,6 +121,11 @@ def test_params_validated():
         MiningParams(tau=2.5)
     with pytest.raises(DataError, match="kappa"):
         MiningParams(kappa=0)
+    # a fractional or boolean size would mine subsets of another size
+    for key, bad in (("kappa", 1.5), ("kappa", 2.0), ("kappa", True), ("kappa_cap", 2.5)):
+        with pytest.raises(DataError, match=f"{key} must be an integer"):
+            MiningParams(**{key: bad})
+    MiningParams(kappa=np.int64(1), kappa_cap=np.int32(2))
     with pytest.raises(DataError, match="cap"):
         MiningParams(kappa=3)
     # raising the cap deliberately is allowed

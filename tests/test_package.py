@@ -23,7 +23,7 @@ PUBLIC = {
     "TrainConfig", "TransferRecord", "UsageError", "VocabularyMapping", "auc",
     "axioms_to_text", "boe_encode", "build_report", "build_vocabulary", "change_rates",
     "change_rates_from_counts", "core_context_search", "correlative_reason", "dec",
-    "domain_annotation", "early_stop", "effective_subsets", "encode_dataset", "entails",
+    "domain_annotation", "effective_subsets", "encode_dataset", "entails",
     "evaluate_pair", "extract_axioms", "fast_extend", "frequent_entailments",
     "fti_from_records", "fti_matrix", "import_external", "is_consistent", "load_corpus",
     "materialize", "mine_roots", "normalize_tbox", "p_value", "parse_abox",
@@ -39,7 +39,7 @@ SUBMODULES = (
 
 
 def test_every_public_name_resolves_lazily_and_through_star_import():
-    assert len(PUBLIC) == 90
+    assert len(PUBLIC) == 89
     assert set(transferlens.__all__) == PUBLIC
     assert PUBLIC <= set(dir(transferlens))
     star: dict = {}
