@@ -67,12 +67,15 @@ class TrainConfig:
             raise DataError(f"seed must be non-negative, got {self.seed}")
 
 
+def _check_integer(key: str, value) -> None:
+    """An integer, a numpy one included; a float or a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{key} must be an integer, got {value!r}")
+
+
 def _check_integers(cfg, *keys: str) -> None:
-    """Each named field is an integer, a numpy one included; a float or a bool is not."""
     for key in keys:
-        value = getattr(cfg, key)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise DataError(f"{key} must be an integer, got {value!r}")
+        _check_integer(key, getattr(cfg, key))
 
 
 def check_train_frac(train_frac: float) -> None:
@@ -80,12 +83,14 @@ def check_train_frac(train_frac: float) -> None:
         raise DataError(f"train_frac must be in (0, 1), got {train_frac}")
 
 
-def check_thresholds(epsilon: float, alpha: float) -> None:
-    """Validity thresholds: epsilon in [0, 1], alpha in (0, 1); NaN fails both."""
+def check_thresholds(epsilon: float, alpha: float, n_min: int) -> None:
+    """Validity thresholds: epsilon in [0, 1], alpha in (0, 1), NaN failing
+    both, and an integer n_min."""
     if not 0.0 <= epsilon <= 1.0:
         raise DataError(f"epsilon must be in [0, 1], got {epsilon}")
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
+    _check_integer("n_min", n_min)
 
 
 @dataclass(frozen=True)
@@ -97,10 +102,10 @@ class SearchConfig:
     early_stop: bool = True
 
     def __post_init__(self):
-        _check_integers(self, "max_dim", "n_min")
+        _check_integers(self, "max_dim")
         if self.max_dim < 2:
             raise DataError(f"max_dim must be at least 2, got {self.max_dim}")
-        check_thresholds(self.epsilon, self.alpha)
+        check_thresholds(self.epsilon, self.alpha, self.n_min)
 
 
 def check_weights(omega1: float, omega2: float) -> None:

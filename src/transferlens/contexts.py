@@ -140,6 +140,14 @@ class CoreContextScan:
         clusters: SyncClusters,
         cfg: SearchConfig,
     ):
+        # validity is the space's: a config with other thresholds would be
+        # silently ignored, so it is refused
+        for key in ("epsilon", "alpha", "n_min"):
+            if getattr(cfg, key) != getattr(space, key):
+                raise DataError(
+                    f"the search config's {key} {getattr(cfg, key)!r} differs from "
+                    f"the evidence space's {getattr(space, key)!r}"
+                )
         self.space = space
         self.clusters = clusters
         self.cfg = cfg

@@ -44,7 +44,6 @@ from .reasoner import Entailment
 @dataclass
 class Corpus:
     root: Path
-    tbox_axioms: frozenset[TBoxAxiom]
     tbox: NormalizedTBox
     constraints: frozenset[TBoxAxiom]
     domains: list[LearningDomain]
@@ -189,7 +188,6 @@ def _load(root: Path) -> Corpus:
         raise DataError(f"{domains_dir} holds no domains")
     return Corpus(
         root=root,
-        tbox_axioms=tbox_ont.tbox,
         tbox=ntbox,
         constraints=constraints,
         domains=domains,

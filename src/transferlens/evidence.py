@@ -304,7 +304,7 @@ class EvidenceSpace:
     n_min: int
 
     def __post_init__(self):
-        check_thresholds(self.epsilon, self.alpha)
+        check_thresholds(self.epsilon, self.alpha, self.n_min)
         self.pair_src = tuple(int(i) for i in self.pair_src)
         self.pair_dst = tuple(int(j) for j in self.pair_dst)
         self.fti_vec = tuple(float(v) for v in self.fti_vec)

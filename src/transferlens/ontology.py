@@ -30,12 +30,6 @@ from dataclasses import dataclass, field
 NAME_CHARS = r"A-Za-z0-9_./:\-"
 NAME_RE = re.compile(f"[{NAME_CHARS}]+")
 
-KEYWORDS = {
-    "Top", "Bottom", "And", "Some", "Nom",
-    "SubClassOf", "SubRole", "RoleChain",
-    "ClassAssert", "RoleAssert", "SameInd", "DiffInd",
-}
-
 
 class OntologyError(Exception):
     """Base class for ontology-layer failures."""
@@ -227,6 +221,20 @@ class Ontology:
 
 # ---------------------------------------------------------------------------
 # parsing
+
+# each axiom keyword: the kinds of its arguments, in order, and the axiom
+# they build; a concept argument is any concept expression
+_AXIOMS = {
+    "SubClassOf": (("concept", "concept"), Gci),
+    "SubRole": (("role", "role"), SubRole),
+    "RoleChain": (("role", "role", "role"), RoleChain),
+    "ClassAssert": (("concept", "individual"), ClassAssertion),
+    "RoleAssert": (("role", "individual", "individual"), RoleAssertion),
+    "SameInd": (("individual", "individual"), Equality),
+    "DiffInd": (("individual", "individual"), Inequality),
+}
+
+KEYWORDS = {"Top", "Bottom", "And", "Some", "Nom", *_AXIOMS}
 
 # whitespace between tokens, and the start of a comment that runs to the end
 # of its line; the token parser and the plain-line grammar share both
@@ -435,65 +443,26 @@ def _parse_tokens(text: str) -> Ontology:
 
     while p.peek() is not None:
         head, line, col = p.next("axiom")
-        if head == "SubClassOf":
-            p.expect("(")
-            lhs = p.concept()
-            rhs = p.concept()
-            p.expect(")")
-            sig.walk_concept(lhs, line, col)
-            sig.walk_concept(rhs, line, col)
-            tbox.add(Gci(lhs, rhs))
-        elif head == "SubRole":
-            p.expect("(")
-            sub, l2, c2 = p.name("role name")
-            sup, l3, c3 = p.name("role name")
-            p.expect(")")
-            sig.use(sub, "role", l2, c2)
-            sig.use(sup, "role", l3, c3)
-            tbox.add(SubRole(sub, sup))
-        elif head == "RoleChain":
-            p.expect("(")
-            r1, l1, c1 = p.name("role name")
-            r2, l2, c2 = p.name("role name")
-            s, l3, c3 = p.name("role name")
-            p.expect(")")
-            sig.use(r1, "role", l1, c1)
-            sig.use(r2, "role", l2, c2)
-            sig.use(s, "role", l3, c3)
-            tbox.add(RoleChain(r1, r2, s))
-        elif head == "ClassAssert":
-            p.expect("(")
-            c = p.concept()
-            ind, l2, c2 = p.name("individual name")
-            p.expect(")")
-            sig.walk_concept(c, line, col)
-            sig.use(ind, "individual", l2, c2)
-            abox.add(ClassAssertion(c, ind))
-        elif head == "RoleAssert":
-            p.expect("(")
-            role, l1, c1 = p.name("role name")
-            a, l2, c2 = p.name("individual name")
-            b, l3, c3 = p.name("individual name")
-            p.expect(")")
-            sig.use(role, "role", l1, c1)
-            sig.use(a, "individual", l2, c2)
-            sig.use(b, "individual", l3, c3)
-            abox.add(RoleAssertion(role, a, b))
-        elif head in ("SameInd", "DiffInd"):
-            p.expect("(")
-            a, l2, c2 = p.name("individual name")
-            b, l3, c3 = p.name("individual name")
-            p.expect(")")
-            sig.use(a, "individual", l2, c2)
-            sig.use(b, "individual", l3, c3)
-            if head == "SameInd":
-                abox.add(Equality(a, b))
-            else:
-                if a == b:
-                    raise ParseError(f"DiffInd({a} {b}) is self-contradictory", line, col)
-                abox.add(Inequality(a, b))
-        else:
+        if head not in _AXIOMS:
             raise ParseError(f"expected axiom keyword, got {head!r}", line, col)
+        kinds, make = _AXIOMS[head]
+        p.expect("(")
+        # a concept is registered at its keyword, a name at its own position
+        args = [
+            (p.concept(), line, col) if kind == "concept" else p.name(f"{kind} name")
+            for kind in kinds
+        ]
+        p.expect(")")
+        for kind, (value, at_line, at_col) in zip(kinds, args):
+            if kind == "concept":
+                sig.walk_concept(value, at_line, at_col)
+            else:
+                sig.use(value, kind, at_line, at_col)
+        values = [value for value, _, _ in args]
+        if head == "DiffInd" and values[0] == values[1]:
+            raise ParseError(f"DiffInd({values[0]} {values[1]}) is self-contradictory", line, col)
+        axiom = make(*values)
+        (tbox if isinstance(axiom, TBoxAxiom) else abox).add(axiom)
 
     return Ontology(tbox=frozenset(tbox), abox=frozenset(abox), signature=sig.signature())
 

@@ -617,6 +617,12 @@ def test_knowledge_stages_load_no_numpy(tmp_path):
     assert loaded == {"numpy": set(), "scipy": set()}
 
 
+def test_selftest_loads_neither_numpy_nor_scipy(tmp_path):
+    # its random transfer values and Pearson vectors are plain Python numbers
+    loaded = _modules_after([["selftest"]], tmp_path / "out")
+    assert loaded == {"numpy": set(), "scipy": set()}
+
+
 def test_knowledge_stages_and_auc_ingestion_load_no_scipy(tmp_path):
     csv = tmp_path / "measured.csv"
     csv.write_text(

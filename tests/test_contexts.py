@@ -313,8 +313,8 @@ def test_early_stop_prunes_but_never_lies():
     fixtures += [synth_space(seed, n_domains=4, n_atoms=10, alpha=0.4) for seed in range(6)]
     fixtures += [synth_space(2, n_domains=3, n_atoms=9), synth_space(4, alpha=0.01)]
     for k, (space, clusters) in enumerate(fixtures):
-        cfg_off = SearchConfig(max_dim=4, early_stop=False)
-        cfg_on = SearchConfig(max_dim=4, early_stop=True)
+        cfg_off = SearchConfig(max_dim=4, alpha=space.alpha, early_stop=False)
+        cfg_on = SearchConfig(max_dim=4, alpha=space.alpha, early_stop=True)
         full = CoreContextScan(space, clusters, cfg_off).run()
         fast = CoreContextScan(space, clusters, cfg_on).run()
         assert full.stats.evaluated == exhaustive_count(clusters, cfg_off.max_dim)
@@ -458,6 +458,18 @@ def test_lookup_rejects_unknown_atoms_and_empty_contexts():
 
 
 # -- configuration and end-to-end ---------------------------------------------------
+
+
+def test_scan_refuses_thresholds_its_space_does_not_use():
+    space, clusters = synth_space(0, alpha=0.4)
+    msg = r"config's epsilon 0\.9 differs from the evidence space's 0\.1"
+    with pytest.raises(DataError, match=msg):
+        CoreContextScan(space, clusters, SearchConfig(alpha=0.01, epsilon=0.9, n_min=50))
+    for key, bad in (("alpha", 0.01), ("n_min", 50)):
+        with pytest.raises(DataError, match=f"config's {key} {bad} differs"):
+            CoreContextScan(space, clusters, SearchConfig(**{"alpha": 0.4, key: bad}))
+    # numpy thresholds that equal the space's are the same thresholds
+    CoreContextScan(space, clusters, SearchConfig(alpha=np.float64(0.4), n_min=np.int64(3)))
 
 
 def test_search_config_validation():

@@ -417,6 +417,13 @@ def test_space_build_validation():
             correlative_reason(domains, GeneralFactor.parse("d_obs"), fti, epsilon=bad)
         with pytest.raises(DataError, match="alpha"):
             correlative_reason(domains, GeneralFactor.parse("d_obs"), fti, alpha=bad)
+    # a count must be a whole number, a numpy one included; a bool is not
+    for bad in (2.5, True, "3"):
+        with pytest.raises(DataError, match=f"n_min must be an integer, got {bad!r}"):
+            EvidenceSpace.build(domains, fti, n_min=bad)
+        with pytest.raises(DataError, match="n_min must be an integer"):
+            correlative_reason(domains, GeneralFactor.parse("d_obs"), fti, n_min=bad)
+    EvidenceSpace.build(domains, fti, n_min=np.int64(3))
     # partial coverage shrinks the pair list instead of failing
     partial = {("d1", "d2"): 0.1, ("d2", "d1"): -0.1, ("d1", "d3"): 0.2}
     space = EvidenceSpace.build(domains, partial)

@@ -12,7 +12,9 @@ from transferlens.ontology import (
     NAME_RE,
     Atomic,
     Bottom,
+    ClassAssertion,
     Conjunction,
+    Equality,
     Existential,
     Gci,
     Inequality,
@@ -22,8 +24,11 @@ from transferlens.ontology import (
     RConj,
     RExistLhs,
     RExistRhs,
+    RoleAssertion,
+    RoleChain,
     RSub,
     SignatureError,
+    SubRole,
     Top,
     _parse_plain,
     _parse_tokens,
@@ -89,6 +94,73 @@ def test_signature_partition():
     assert ont.signature.concepts == {"A", "B"}
     assert ont.signature.roles == {"r"}
     assert ont.signature.individuals == {"i", "j"}
+
+
+# per keyword: a well-formed argument list, its axiom and (concepts, roles,
+# individuals); one argument too few, a "(" where an argument belongs, and no
+# closing ")", each with its (message, line, col); and a document where the
+# keyword's line 2 clashes with line 1's individual b (or concept C), with the
+# line the clash is reported at: the keyword's for a concept argument, the
+# name's own for a role or individual
+_KEYWORD_CASES = [
+    ("SubClassOf", "A B", Gci(Atomic("A"), Atomic("B")), ("AB", "", ""),
+     [("A)", "expected concept expression, got ')'", 1, 13),
+      ("( B)", "expected concept expression, got '('", 1, 12),
+      ("A B", "expected ')', got end of input", 1, 14)],
+     "(\nA\nb)", "name 'b' used as concept at line 2 but as individual at line 1"),
+    ("SubRole", "r s", SubRole("r", "s"), ("", "rs", ""),
+     [("r)", "expected role name, got ')'", 1, 10),
+      ("( s)", "expected role name, got '('", 1, 9),
+      ("r s", "expected ')', got end of input", 1, 11)],
+     "(\nr\nb)", "name 'b' used as role at line 4 but as individual at line 1"),
+    ("RoleChain", "r s t", RoleChain("r", "s", "t"), ("", "rst", ""),
+     [("r s)", "expected role name, got ')'", 1, 14),
+      ("r ( t)", "expected role name, got '('", 1, 13),
+      ("r s t", "expected ')', got end of input", 1, 15)],
+     "(\nr s\nb)", "name 'b' used as role at line 4 but as individual at line 1"),
+    ("ClassAssert", "C a", ClassAssertion(Atomic("C"), "a"), ("C", "", "a"),
+     [("C)", "expected individual name, got ')'", 1, 14),
+      ("C ()", "expected individual name, got '('", 1, 15),
+      ("C a", "expected ')', got end of input", 1, 15)],
+     "(\nb\na)", "name 'b' used as concept at line 2 but as individual at line 1"),
+    ("RoleAssert", "r a b", RoleAssertion("r", "a", "b"), ("", "r", "ab"),
+     [("r a)", "expected individual name, got ')'", 1, 15),
+      ("r ( b)", "expected individual name, got '('", 1, 14),
+      ("r a b", "expected ')', got end of input", 1, 16)],
+     "(\nb\na c)", "name 'b' used as role at line 3 but as individual at line 1"),
+    ("SameInd", "a b", Equality("a", "b"), ("", "", "ab"),
+     [("a)", "expected individual name, got ')'", 1, 10),
+      ("a ()", "expected individual name, got '('", 1, 11),
+      ("a b", "expected ')', got end of input", 1, 11)],
+     "(\nC\na)", "name 'C' used as individual at line 3 but as concept at line 1"),
+    ("DiffInd", "a b", Inequality("a", "b"), ("", "", "ab"),
+     [("a)", "expected individual name, got ')'", 1, 10),
+      ("a ()", "expected individual name, got '('", 1, 11),
+      ("a b", "expected ')', got end of input", 1, 11)],
+     "(\nC\na)", "name 'C' used as individual at line 3 but as concept at line 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "keyword, args, axiom, names, malformed, clash, clash_message",
+    _KEYWORD_CASES,
+    ids=[case[0] for case in _KEYWORD_CASES],
+)
+def test_each_keyword_parse_is_pinned(keyword, args, axiom, names, malformed, clash, clash_message):
+    ont = _parse_tokens(f"{keyword}({args})")
+    assert ont.tbox | ont.abox == {axiom}
+    assert (ont.tbox if isinstance(axiom, (Gci, SubRole, RoleChain)) else ont.abox) == {axiom}
+    sig = ont.signature
+    assert (sig.concepts, sig.roles, sig.individuals) == tuple(set(n) for n in names)
+    for tail, message, line, col in malformed:
+        with pytest.raises(ParseError) as err:
+            _parse_tokens(f"{keyword}({tail}")
+        assert (str(err.value), err.value.line, err.value.col) == (
+            f"line {line}, col {col}: {message}", line, col
+        )
+    with pytest.raises(SignatureError) as err:
+        _parse_tokens(f"ClassAssert(C b)\n{keyword}{clash}")
+    assert str(err.value) == clash_message
 
 
 def test_plain_documents_take_the_plain_path():
