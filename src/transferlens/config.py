@@ -85,12 +85,15 @@ def check_train_frac(train_frac: float) -> None:
 
 def check_thresholds(epsilon: float, alpha: float, n_min: int) -> None:
     """Validity thresholds: epsilon in [0, 1], alpha in (0, 1), NaN failing
-    both, and an integer n_min."""
+    both, and an integer n_min of at least 3, the fewest samples a p-value
+    takes."""
     if not 0.0 <= epsilon <= 1.0:
         raise DataError(f"epsilon must be in [0, 1], got {epsilon}")
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
     _check_integer("n_min", n_min)
+    if n_min < 3:
+        raise DataError(f"n_min must be at least 3, got {n_min}")
 
 
 @dataclass(frozen=True)

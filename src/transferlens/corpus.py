@@ -15,19 +15,16 @@ LSO files hold ``@ann key value`` annotation lines followed by ABox axioms;
 parse errors cite lines of the file, annotation lines included.
 
 ``load_corpus`` pauses the cycle collector while it reads: a load allocates
-many objects (about 10^5 for ``mini_flights``) and none in reference cycles,
-so the collections it would trigger find nothing to free, and on a large
-corpus the full collections among them walk the growing heap again and again.
+many objects (about 10^5 for ``mini_flights``) and none in reference cycles.
 """
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
-from .domain import LearningDomain, Lso
+from .domain import LearningDomain, Lso, collector_paused
 from .errors import DataError
 from .ontology import (
     Gci,
@@ -116,13 +113,8 @@ def _parse_lso_file(path: Path) -> Lso:
 
 
 def load_corpus(root: str | Path) -> Corpus:
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         return _load(Path(root))
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _load(root: Path) -> Corpus:

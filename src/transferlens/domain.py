@@ -16,7 +16,9 @@ load it.
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from typing import TYPE_CHECKING
@@ -28,6 +30,23 @@ from .reasoner import Entailment, EntailmentClosure, materialize
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+@contextmanager
+def collector_paused():
+    """Pause the cycle collector, then restore the state it had.
+
+    Loading a corpus and closing its LSOs allocate many objects and no
+    reference cycles, so the collections they would trigger free nothing
+    and, on a large corpus, walk the growing heap again and again.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -61,9 +80,10 @@ class LearningDomain:
     def lso_closures(self) -> tuple[EntailmentClosure, ...]:
         if self._closures is None:
             ext = self.external_axioms
-            self._closures = tuple(
-                materialize(self.tbox, lso.abox | ext) for lso in self.lsos
-            )
+            with collector_paused():
+                self._closures = tuple(
+                    materialize(self.tbox, lso.abox | ext) for lso in self.lsos
+                )
         return self._closures
 
     def closure_atom_sets(self) -> tuple[frozenset[Entailment], ...]:

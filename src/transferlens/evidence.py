@@ -361,7 +361,7 @@ class EvidenceSpace:
 
     def correlate(self, v_e, v_f, n: int):
         """The one correlation kernel every evidence path funnels through."""
-        if n < max(self.n_min, 3):
+        if n < self.n_min:
             return None, None, "insufficient-samples", False
         if _constant(v_e) or _constant(v_f):
             return None, None, "zero-variance", False

@@ -15,6 +15,10 @@ names), and the resulting subsumptions join the ground subclass rules.  Role
 atoms themselves are only ever derived between named individuals; no
 anonymous individuals are introduced.
 
+Every class assertion reaches the worklist as one atom of a concept name:
+C(a) is the inclusion {a} ⊑ C, so ``_prepare`` names each composite C into
+an extension of the TBox, whose compiled rules give C all its consequences.
+
 Every closure runs to its fixpoint; inconsistency is read once, after the
 worklist empties.  It has exactly two sources: Bottom (an ordinary stored
 atom) is derived for some individual, or two individuals asserted distinct
@@ -36,7 +40,6 @@ from .ontology import (
     ClassAssertion,
     ConceptExpr,
     Equality,
-    Existential,
     Gci,
     Inequality,
     NAME_RE,
@@ -382,24 +385,17 @@ class EntailmentClosure:
         return sorted(str(a) for a in self.atoms())
 
 
-def _decomposable(c: ConceptExpr) -> bool:
-    """True if asserting c ground reduces to atom/role/merge insertions."""
-    if isinstance(c, (Top, Bottom, Atomic, Nominal)):
-        return True
-    if isinstance(c, Existential):
-        return isinstance(c.filler, Nominal)
-    return all(_decomposable(p) for p in c.parts)
-
-
 def _prepare(ntbox: NormalizedTBox, abox) -> tuple[NormalizedTBox, list[ABoxAxiom]]:
-    """Name any assertion concept that cannot be asserted ground as-is.
+    """Name each class-assertion concept that is not a name: ``(a<k>) ⊑ C``.
 
-    The names are ``(a<k>)``: normalizing the extended TBox introduces its
-    own ``(n<k>)`` names, and a tag of their own keeps the two apart.
+    C(a) is {a} ⊑ C, so the rules compiled from the extended TBox give
+    ``(a<k>)(a)`` every consequence of C(a), nominal merges and role atoms
+    included.  Normalizing that TBox mints its own ``(n<k>)`` names; the tag
+    keeps the two apart.
     """
     complex_concepts: dict[ConceptExpr, None] = {}
     for ax in abox:
-        if isinstance(ax, ClassAssertion) and not _decomposable(ax.concept):
+        if isinstance(ax, ClassAssertion) and not isinstance(ax.concept, Atomic):
             complex_concepts[ax.concept] = None
     if not complex_concepts:
         return ntbox, list(abox)
@@ -515,33 +511,10 @@ def materialize(tbox, abox) -> EntailmentClosure:
         mention(ind)
         push_class("}" + ind, ind)
 
-    def assert_concept(concept: ConceptExpr, x: str) -> None:
-        # An explicit stack, not recursion: a self-recursive closure is a
-        # reference cycle that keeps this call's state alive until the cycle
-        # collector runs.  Parts are visited in the same depth-first order.
-        todo = [concept]
-        while todo:
-            c = todo.pop()
-            if isinstance(c, Top):
-                continue
-            if isinstance(c, Bottom):
-                push_class(_BOT, x)
-            elif isinstance(c, Atomic):
-                push_class(c.name, x)
-            elif isinstance(c, Nominal):
-                mention(c.individual)
-                merge(x, c.individual)
-            elif isinstance(c, Existential):
-                # _prepare guarantees the filler is a nominal here
-                mention(c.filler.individual)
-                push_role(c.role, x, c.filler.individual)
-            else:
-                todo.extend(reversed(c.parts))
-
     for ax in axioms:
         if isinstance(ax, ClassAssertion):
             mention(ax.individual)
-            assert_concept(ax.concept, ax.individual)
+            push_class(ax.concept.name, ax.individual)
         elif isinstance(ax, RoleAssertion):
             mention(ax.subject)
             mention(ax.object)

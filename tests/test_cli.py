@@ -456,6 +456,7 @@ def test_explain_validates_thresholds_as_report_does(corpus_dir, tmp_path, capsy
     for flag, message in (
         (["--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
         (["--epsilon", "nan"], "epsilon must be in [0, 1], got nan"),
+        (["--n-min", "2"], "n_min must be at least 3, got 2"),
     ):
         for argv in (["report"], ["explain", "--evidence", "d_obs"]):
             assert main(argv + base + flag) == 2

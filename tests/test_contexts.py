@@ -479,7 +479,10 @@ def test_search_config_validation():
     for key, bad in (("max_dim", 4.0), ("max_dim", True), ("n_min", 3.5), ("n_min", "3")):
         with pytest.raises(DataError, match=f"{key} must be an integer"):
             SearchConfig(**{key: bad})
-    SearchConfig(max_dim=np.int64(3), n_min=np.int32(2))
+    SearchConfig(max_dim=np.int64(3), n_min=np.int32(3))
+    for bad in (2, 0, -5):
+        with pytest.raises(DataError, match=f"n_min must be at least 3, got {bad}"):
+            SearchConfig(n_min=bad)
     with pytest.raises(DataError, match="alpha"):
         SearchConfig(alpha=0.0)
     with pytest.raises(DataError, match="alpha"):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from domfix import make_domain
+from transferlens import domain
 from transferlens.domain import (
     boe_encode,
     build_vocabulary,
@@ -56,6 +58,28 @@ def test_inconsistent_lsos_are_excluded_from_domain_closure():
     assert d.lso_closures()[3].inconsistent
     # the poisoned LSO contributes nothing
     assert d.entailment_closure() == _dom().entailment_closure()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_closing_lsos_pauses_the_cycle_collector(enabled, monkeypatch):
+    # closures leave no cyclic garbage, so collections while closing free
+    # nothing; the collector's prior state is back afterwards
+    seen = []
+    real = domain.materialize
+
+    def recording(tbox, abox):
+        seen.append(gc.isenabled())
+        return real(tbox, abox)
+
+    monkeypatch.setattr(domain, "materialize", recording)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        _dom().lso_closures()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * len(LSOS)
 
 
 def test_vocabulary_excludes_targets_and_is_sorted():

@@ -424,6 +424,12 @@ def test_space_build_validation():
         with pytest.raises(DataError, match="n_min must be an integer"):
             correlative_reason(domains, GeneralFactor.parse("d_obs"), fti, n_min=bad)
     EvidenceSpace.build(domains, fti, n_min=np.int64(3))
+    # p_value needs 3 samples, so n_min is at least 3
+    for bad in (2, 0, -5):
+        with pytest.raises(DataError, match=f"n_min must be at least 3, got {bad}"):
+            EvidenceSpace.build(domains, fti, n_min=bad)
+        with pytest.raises(DataError, match=f"n_min must be at least 3, got {bad}"):
+            correlative_reason(domains, GeneralFactor.parse("d_obs"), fti, n_min=bad)
     # partial coverage shrinks the pair list instead of failing
     partial = {("d1", "d2"): 0.1, ("d2", "d1"): -0.1, ("d1", "d3"): 0.2}
     space = EvidenceSpace.build(domains, partial)

@@ -9,8 +9,10 @@ import time
 
 import pytest
 
+from conftest import MINI_FLIGHTS
 from genont import INDS, random_concept, random_instance
 from oracles import naive_closure, structural_closure
+from transferlens.corpus import load_corpus
 from transferlens.ontology import (
     NAME_RE,
     Atomic,
@@ -269,6 +271,88 @@ def test_nominal_assertion_on_an_unmentioned_individual(concept):
     assert clo.canonical("x") == "b"
     assert clo.entails(Entailment.parse("Top(x)"))
     assert clo.entails(Entailment.parse("A(b)")) == ("A" in concept)
+
+
+# one closure per assertion shape, each over a small TBox: public atoms,
+# merged groups, individuals and witness
+_SHAPES = {
+    "top": (
+        "SubClassOf(Top T)\nClassAssert(Top x)",
+        ["T(x)"], [], {"x"}, None,
+    ),
+    "bottom": (
+        "SubClassOf(A B)\nClassAssert(A y)\nClassAssert(Bottom x)",
+        ["A(y)", "B(y)"], [], {"x", "y"}, "Bottom derived for x",
+    ),
+    "atomic": (
+        "SubClassOf(A B)\nClassAssert(A x)",
+        ["A(x)", "B(x)"], [], {"x"}, None,
+    ),
+    "nominal": (
+        "SubClassOf(Nom(b) B)\nClassAssert(Nom(b) x)",
+        ["B(b)"], [{"b", "x"}], {"b"}, None,
+    ),
+    "some-nominal": (
+        "SubClassOf(Some(r Top) Q)\nClassAssert(Some(r Nom(b)) x)",
+        ["Q(x)", "r(x,b)"], [], {"b", "x"}, None,
+    ),
+    "some-name": (
+        "SubClassOf(Some(r A) Q)\nClassAssert(Some(r A) x)",
+        ["Q(x)"], [], {"x"}, None,
+    ),
+    "and-nominal": (
+        "SubClassOf(And(A B) C)\nClassAssert(B b)\nClassAssert(And(A Nom(b)) x)",
+        ["A(b)", "B(b)", "C(b)"], [{"b", "x"}], {"b"}, None,
+    ),
+    "and-some-nominal": (
+        "SubClassOf(And(A Some(r Nom(b))) C)\nSubClassOf(Some(r B) D)\n"
+        "ClassAssert(B b)\nClassAssert(And(A Some(r Nom(b))) x)",
+        ["A(x)", "B(b)", "C(x)", "D(x)", "r(x,b)"], [], {"b", "x"}, None,
+    ),
+    "nested": (
+        "SubClassOf(And(A Some(s Some(r Nom(b)))) C)\nSubClassOf(Some(r Top) R)\n"
+        "ClassAssert(And(A And(Some(r Nom(b)) Some(s Some(r Nom(b))) Nom(y))) x)",
+        ["A(x)", "C(x)", "R(x)", "r(x,b)"], [{"x", "y"}], {"b", "x"}, None,
+    ),
+    # the two axioms that decide the witness of genont seed 3674 (named_rhs)
+    # with this assertion added: ⊥ reaches i1 through its asserted existential,
+    # since (a0) ⊑ ∃r1.{i2} classifies under ⊥, so the witness names i1, the
+    # least individual with ⊥
+    "seed-3674": (
+        "SubClassOf(Nom(i2) Bottom)\nClassAssert(Some(r1 Nom(i2)) i1)",
+        ["r1(i1,i2)"], [], {"i1", "i2"}, "Bottom derived for i1",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(_SHAPES))
+def test_every_assertion_shape_closes_as_pinned(shape):
+    doc, lines, merged, individuals, witness = _SHAPES[shape]
+    clo = _closure(doc)
+    assert clo.to_lines() == lines
+    assert [set(g) for g in clo.merged] == merged
+    assert clo.individuals == individuals
+    assert clo.inconsistent == (witness is not None)
+    assert clo.inconsistency_witness == witness
+    assert not any(g.pred.startswith("(") for g in clo.atoms())
+
+
+def test_only_composite_assertions_extend_the_tbox():
+    # an assertion of a name closes under the corpus TBox itself; a composite
+    # one is named into one extension, which later closures reuse
+    corpus = load_corpus(MINI_FLIGHTS)
+    for dom in corpus.domains:
+        assert dom.tbox is corpus.tbox
+        dom.lso_closures()
+    assert corpus.tbox._extensions == {}
+    abox = corpus.domains[0].lsos[0].abox
+    abox |= parse_ontology("ClassAssert(And(Dep Some(hasOri Nom(LAX))) z)").abox
+    first = materialize(corpus.tbox, abox)
+    (extended,) = corpus.tbox._extensions.values()
+    second = materialize(corpus.tbox, abox)
+    (again,) = corpus.tbox._extensions.values()
+    assert again is extended
+    assert first.atoms() == second.atoms()
 
 
 def test_materialize_leaves_no_cyclic_garbage():
