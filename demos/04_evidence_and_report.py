@@ -27,10 +27,10 @@ space = EvidenceSpace.build(corpus.domains, fti)
 general = [space.score(GeneralFactor(kind)) for kind in FactorKind]
 
 scan = core_context_search(corpus.domains, fti, SearchConfig())
-contexts = [(res, cover) for _, res, cover in scan.rep_results() if cover > 0]
+contexts = list(scan.concept_rows())
 stats = scan.stats
-print(f"context search evaluated {stats.evaluated} of {stats.enumerable} "
-      f"enumerable contexts (prune rate {stats.prune_rate:.3f})")
+print(f"context search: {stats.clusters} clusters form {stats.evaluated} concepts "
+      f"covering {stats.covered} contexts, {stats.valid} of them valid")
 print()
 
 report = build_report(

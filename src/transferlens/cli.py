@@ -23,7 +23,9 @@ from flags first, then a ``key = value`` config file, then defaults; the
 tuning keys are the fields of :class:`.config.PipelineConfig`.  Every stage
 makes one before it reads the corpus, and making one checks every value,
 so a value any stage would refuse is a data error everywhere.  ``report``
-writes ``evidence/*.tsv`` from the rows :func:`.report.build_report` ranks.
+writes ``evidence/*.tsv`` from the rows :func:`.report.build_report` ranks;
+``contexts.tsv`` has one row per concept of the core-context search that
+covers a context, its least generator's representatives with its cover.
 The transfer and evidence modules (harness, evidence, contexts, report)
 are imported inside the commands that use them.  Of these, only
 ``harness``'s training functions load numpy (and ``scipy.special``), so
@@ -321,8 +323,7 @@ def cmd_report(args, cfg: PipelineConfig, outdir: Path) -> int:
         fti=fti,
         general=[space.score(GeneralFactor(k)) for k in FactorKind],
         narrators=[space.score(ParticularNarrator(g)) for g in scan.clusters.universe],
-        # singleton representatives of singleton clusters cover no real context
-        contexts=[(res, cover) for _, res, cover in scan.rep_results() if cover > 0],
+        contexts=list(scan.concept_rows()),
     )
     for name, rows in rep.ranked.items():
         cover = "\tcover" if name == "contexts" else ""
@@ -336,8 +337,8 @@ def cmd_report(args, cfg: PipelineConfig, outdir: Path) -> int:
     stats = scan.stats
     print(rep.text)
     print(
-        f"context search: {stats.evaluated} evaluated of {stats.enumerable} "
-        f"enumerable, {stats.covered} covered, prune rate {stats.prune_rate:.3f}"
+        f"context search: {stats.clusters} clusters form {stats.evaluated} concepts "
+        f"covering {stats.covered} contexts, {stats.valid} of them valid"
     )
     return 0
 

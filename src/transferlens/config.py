@@ -123,9 +123,9 @@ _SECTIONS = (("mining", MiningParams), ("train", TrainConfig), ("search", Search
 
 
 def _tuning_fields(cls):
-    # early_stop picks the walk, not the result: with it, every set of one or two
-    # clusters is scanned and a larger one only when it or an extension of it is
-    # valid, so both walks find the same valid sets; it stays a library-only switch
+    # early_stop picks only what a scan's store holds, one entry per concept
+    # (on) or every cluster set (off, the exhaustive oracle); concepts, covers
+    # and reports are the same either way, so it stays a library-only switch
     return [f for f in fields(cls) if f.name != "early_stop"]
 
 

@@ -1,35 +1,36 @@
-"""Core-context search over synchronized entailment clusters.
+"""Core-context search over the concept lattice of entailment clusters.
 
 Two entailments are synchronized when exactly the same domains' closures
-contain them, i.e. when they share one domain mask.  A context's statistics
-depend only on its mask, the AND of its entailments' masks, which the
-clusters the context touches determine, whichever member of a cluster was
-picked.  The search therefore walks sets of cluster representatives, and
-every concrete context a set covers inherits its result; the evidence space
-scores each distinct mask once.  With ``early_stop`` the walk scans every
-set of one or two clusters but enters a larger set only when it or an
-extension of it is valid, an exact test memoized over masks.
+contain them, i.e. when they share one domain mask; a cluster holds one
+mask's entailments.  A context's statistics depend only on its mask, the
+AND of its entailments' masks, and every mask a context of at most
+``max_dim`` entailments can have is the AND of at most ``max_dim`` cluster
+masks.  These masks are the extents of formal concepts (Ganter & Wille),
+so the search is over concepts, not cluster sets: a breadth-first
+AND-closure of the cluster masks finds each reachable mask together with
+its least generator, the first cluster set (fewest clusters, then index
+order) whose AND it is, and the evidence space scores each mask once.
 
-The scan's result store holds, per scanned cluster set, the evidence
-space's shared result for its mask; contexts are attached on the way out.
-A set is keyed by its tuple of cluster indices in ascending order.  The
-walk is a preorder depth-first search that extends a set only by larger
-indices, so the store's insertion order is already the sorted key order.
-The walk also carries each set's cluster-size profile down to its children
-as an int code, one base ``max_dim + 1`` digit per distinct cluster size
-counting the set's clusters of that size (a child's code is its parent's
-plus its new cluster's digit), and a set's cover count is computed once
-per code.
+A concept's cover, the number of concrete contexts of 2..``max_dim``
+entailments whose mask is exactly it, comes from Möbius inversion over the
+lattice (Rota 1964): with u(M) the entailments whose mask contains M,
+f(M) = sum of C(u(M), k) for k = 2..max_dim counts the contexts whose
+mask contains M, and g(M) = f(M) - sum of g(M') over the concepts M'
+strictly above M.
 
+The scan's result store holds the evidence space's shared result per key,
+a tuple of cluster indices in ascending order: with ``early_stop`` (the
+default) one key per concept, its generator; without it every cluster set
+of 1..``max_dim`` clusters, the exhaustive oracle.  Both are in sorted key
+order.  Concepts and covers are the same either way.
+
+``concept_rows`` streams one row per concept that covers a context,
 ``iter_contexts`` expands the store to concrete contexts (for small
-universes and tests), ``rep_results`` streams one representative context
-per set with its exact cover count, and ``lookup`` answers for any specific
-context, including one the search pruned.
+universes and tests), and ``lookup`` answers for any specific context.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -100,38 +101,6 @@ class SearchStats:
     covered: int = 0
     valid: int = 0
 
-    @property
-    def inherited(self) -> int:
-        """Covered contexts not scored: all but one per scored set of 2+ clusters."""
-        return self.covered - (self.evaluated - self.clusters)
-
-    @property
-    def prune_rate(self) -> float:
-        """Fraction of enumerable (size >= 2) contexts never scored directly.
-
-        Singleton evaluations seed the walk but stand for no reportable
-        context, so they are excluded from the ratio.
-        """
-        if self.enumerable == 0:
-            return 0.0
-        return 1.0 - (self.evaluated - self.clusters) / self.enumerable
-
-
-def _count_expansions(sizes: list[int], lo: int, hi: int) -> int:
-    """Ways to pick a nonempty subset from each cluster, total size in [lo, hi]."""
-    poly = [1]
-    for m in sizes:
-        nxt = [0] * min(len(poly) + m, hi + 1)
-        for t, coeff in enumerate(poly):
-            if coeff == 0:
-                continue
-            for j in range(1, m + 1):
-                if t + j > hi:
-                    break
-                nxt[t + j] += coeff * math.comb(m, j)
-        poly = nxt
-    return sum(poly[lo : hi + 1])
-
 
 class CoreContextScan:
     def __init__(
@@ -152,122 +121,107 @@ class CoreContextScan:
         self.clusters = clusters
         self.cfg = cfg
         self.results: dict[tuple[int, ...], EvidenceResult] = {}
+        # concept mask -> (least generator, cover), in breadth-first order
+        self.concepts: dict[int, tuple[tuple[int, ...], int]] = {}
         self.stats = SearchStats()
-        sizes = [len(c) for c in clusters.clusters]
-        # profile codes: digit r in base max_dim + 1 counts the set's
-        # clusters of the r-th smallest size; a set has at most max_dim
-        # clusters, so no digit carries and equal codes mean equal profiles
-        self._base = cfg.max_dim + 1
-        self._distinct = sorted(set(sizes))
-        rank = {m: r for r, m in enumerate(self._distinct)}
-        self._digits = tuple(self._base ** rank[m] for m in sizes)
-        self._covers: dict[int, int] = {}
         self._ran = False
 
     # -- search ------------------------------------------------------------
 
     def run(self) -> "CoreContextScan":
-        """Walk every cluster set in preorder, extending a set only by larger
-        indices; a child's mask is its parent's ANDed with the new cluster's
-        and its profile code its parent's plus the new cluster's digit."""
+        """Build the concept lattice and its covers, then fill the store."""
         if self._ran:
             return self
         self._ran = True
-        n = len(self.clusters.clusters)
-        u = len(self.clusters.universe)
-        max_dim, stop = self.cfg.max_dim, self.cfg.early_stop
-        self.stats.universe = u
-        self.stats.clusters = n
-        self.stats.enumerable = sum(math.comb(u, k) for k in range(2, max_dim + 1))
-        masks, digits = self.clusters.masks, self._digits
-        results, covers, cover_of = self.results, self._covers, self._cover
+        masks, max_dim = self.clusters.masks, self.cfg.max_dim
+        n, u = len(masks), len(self.clusters.universe)
+        # a mask first reached with k clusters has a least generator whose
+        # first k - 1 clusters are the least generator of their own mask, so
+        # extending each new mask's generator by larger indices, in order,
+        # reaches every mask first from its least generator
+        gens = {m: (i,) for i, m in enumerate(masks)}
+        frontier = list(gens.items())
+        for _ in range(max_dim - 1):
+            grown = []
+            for mask, gen in frontier:
+                for j in range(gen[-1] + 1, n):
+                    child = mask & masks[j]
+                    if child not in gens:
+                        gens[child] = gen + (j,)
+                        grown.append((child, gens[child]))
+            frontier = grown
+        # Möbius inversion, every strict superset (more domains) first
+        sizes = [len(c) for c in self.clusters.clusters]
+        covers: dict[int, int] = {}
+        for mask in sorted(gens, key=int.bit_count, reverse=True):
+            held = sum(s for m, s in zip(masks, sizes) if m & mask == mask)
+            above = sum(g for m, g in covers.items() if m & mask == mask)
+            covers[mask] = sum(math.comb(held, k) for k in range(2, max_dim + 1)) - above
+        self.concepts = {m: (gen, covers[m]) for m, gen in gens.items()}
+
+        score_mask = self.space.score_mask
+        if self.cfg.early_stop:
+            by_gen = sorted((gen, m) for m, gen in gens.items())
+            self.results = {gen: score_mask(m) for gen, m in by_gen}
+        else:
+            self._walk()
+        st = self.stats
+        st.universe, st.clusters = u, n
+        st.enumerable = sum(math.comb(u, k) for k in range(2, max_dim + 1))
+        st.evaluated = len(self.results)
+        st.covered = sum(covers.values())
+        st.valid = sum(g for m, g in covers.items() if score_mask(m).valid)
+        return self
+
+    def _walk(self) -> None:
+        """Store every cluster set of 1..max_dim clusters in preorder,
+        extending a set only by larger indices, so in sorted key order; a
+        child's mask is its parent's ANDed with the new cluster's."""
+        masks, max_dim, results = self.clusters.masks, self.cfg.max_dim, self.results
+        n = len(masks)
         # the space's per-mask store, read here first: a set's mask is
         # nearly always scored already, and a lookup costs less than a call
         score_mask, scored = self.space.score_mask, self.space._scored
-        evaluated = covered = valid = 0
-        # memoized on (mask, i, k) with no budget: each key stands for a cluster
-        # set and costs O(n), so reach costs at most the exhaustive walk, and
-        # it recurses at most max_dim deep
-        @functools.cache
-        def reach(mask: int, i: int, k: int) -> bool:
-            """This mask, or it ANDed with up to k masks of clusters i on, is valid."""
-            return (scored.get(mask) or score_mask(mask)).valid or k > 0 and any(
-                reach(mask & masks[j], j + 1, k - 1) for j in range(i, n)
-            )
 
-        def walk(idxs: tuple[int, ...], mask: int, code: int) -> None:
-            nonlocal evaluated, covered, valid
-            res = scored.get(mask) or score_mask(mask)
-            results[idxs] = res
-            cover = covers.get(code)
-            if cover is None:
-                cover = cover_of(code)
-            evaluated += 1
-            covered += cover
-            if res.valid:
-                valid += cover
-            depth = len(idxs)
-            if depth >= max_dim:
-                return
-            for nxt in range(idxs[-1] + 1, n):
-                child_mask = mask & masks[nxt]
-                # evidence domains can only shrink along an extension
-                assert not child_mask & ~mask, "evidence-domain growth"
-                if not stop or depth < 2 or reach(child_mask, nxt + 1, max_dim - depth - 1):
-                    walk(idxs + (nxt,), child_mask, code + digits[nxt])
+        def walk(idxs: tuple[int, ...], mask: int) -> None:
+            results[idxs] = scored.get(mask) or score_mask(mask)
+            if len(idxs) < max_dim:
+                for nxt in range(idxs[-1] + 1, n):
+                    child_mask = mask & masks[nxt]
+                    # evidence domains can only shrink along an extension
+                    assert not child_mask & ~mask, "evidence-domain growth"
+                    walk(idxs + (nxt,), child_mask)
 
         for i in range(n):
-            walk((i,), masks[i], digits[i])
-        st = self.stats
-        st.evaluated, st.covered, st.valid = evaluated, covered, valid
-        return self
+            walk((i,), masks[i])
 
     # -- result access -----------------------------------------------------
 
-    def _cover(self, code: int) -> int:
-        """Concrete contexts a cluster set with this profile code covers."""
-        cover = self._covers.get(code)
-        if cover is None:
-            sizes, rest = [], code
-            for m in self._distinct:
-                rest, count = divmod(rest, self._base)
-                sizes += [m] * count
-            lo, hi = max(2, len(sizes)), self.cfg.max_dim
-            cover = self._covers[code] = _count_expansions(sizes, lo, hi)
-        return cover
-
-    def rep_results(self):
-        """(representative context, result, exact covered-context count)."""
+    def concept_rows(self):
+        """(result, cover) per concept covering at least one context; the
+        result's evidence is its generator's cluster representatives."""
         self.run()
         reps = self.clusters.reps
-        for key, res in self.results.items():
-            context = CoreContext(frozenset(reps[i] for i in key))
-            code = sum(self._digits[i] for i in key)
-            yield context, replace(res, evidence=context), self._cover(code)
+        for mask, (gen, cover) in self.concepts.items():
+            if cover:
+                context = CoreContext(frozenset(reps[i] for i in gen))
+                yield replace(self.space.score_mask(mask), evidence=context), cover
 
     def iter_contexts(self):
-        """Every covered concrete context with its (inherited) result.
-
-        Expansion is combinatorial in cluster sizes; meant for small
-        universes, reporting caps, and equivalence tests.
-        """
+        """Every concrete context of 2..max_dim entailments whose cluster set
+        the store holds, with that set's result: without ``early_stop``,
+        every enumerable context.  Combinatorial; meant for small universes
+        and equivalence tests."""
         self.run()
-        for key, res in self.results.items():
-            member_sets = [self.clusters.clusters[i] for i in key]
-            k = len(member_sets)
-            for total in range(max(2, k), self.cfg.max_dim + 1):
-                for sizes in _compositions(total, [len(m) for m in member_sets]):
-                    for picks in itertools.product(
-                        *(
-                            itertools.combinations(ms, sz)
-                            for ms, sz in zip(member_sets, sizes)
-                        )
-                    ):
-                        atoms = frozenset(itertools.chain.from_iterable(picks))
-                        yield replace(res, evidence=CoreContext(atoms))
+        of = self.clusters.of_entailment
+        for k in range(2, self.cfg.max_dim + 1):
+            for atoms in itertools.combinations(self.clusters.universe, k):
+                res = self.results.get(tuple(sorted({of[g] for g in atoms})))
+                if res is not None:
+                    yield replace(res, evidence=CoreContext(frozenset(atoms)))
 
     def lookup(self, atoms) -> EvidenceResult:
-        """Result for one specific context, whether or not the search pruned it."""
+        """Result for one specific context, whether or not the store holds it."""
         atoms = frozenset(atoms)
         if not atoms:
             raise DataError("empty context")
@@ -275,21 +229,6 @@ class CoreContextScan:
         if missing:
             raise DataError(f"not in the search universe: {sorted(map(str, missing))}")
         return self.space.score(CoreContext(atoms))
-
-
-def _compositions(total: int, caps: list[int]):
-    """All ways to write ``total`` as parts with 1 <= part_i <= caps[i]."""
-    if len(caps) == 1:
-        if 1 <= total <= caps[0]:
-            yield (total,)
-        return
-    head = caps[0]
-    rest = caps[1:]
-    lo = max(1, total - sum(rest))
-    hi = min(head, total - len(rest))
-    for j in range(lo, hi + 1):
-        for tail in _compositions(total - j, rest):
-            yield (j,) + tail
 
 
 def core_context_search(

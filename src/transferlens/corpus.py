@@ -90,22 +90,22 @@ def _parse_lso_file(path: Path) -> Lso:
     for lineno, raw in enumerate(lines, start=1):
         if "@" not in raw:
             continue
-        stripped = raw.strip()
-        if stripped.startswith("@ann"):
-            parts = stripped.split()
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected '@ann key value'")
-            if parts[1] == "dat":
-                try:
-                    date.fromisoformat(parts[2])
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: dat {parts[2]!r} is not an ISO date"
-                    ) from None
-            ann.add((parts[1], parts[2]))
-            lines[lineno - 1] = ""  # blanked, not dropped, so parse errors cite file lines
-        elif stripped.startswith("@"):
-            raise DataError(f"{path}:{lineno}: unknown directive {stripped.split()[0]!r}")
+        parts = raw.split()
+        if not parts[0].startswith("@"):
+            continue
+        if parts[0] != "@ann":
+            raise DataError(f"{path}:{lineno}: unknown directive {parts[0]!r}")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected '@ann key value'")
+        if parts[1] == "dat":
+            try:
+                date.fromisoformat(parts[2])
+            except ValueError:
+                raise DataError(
+                    f"{path}:{lineno}: dat {parts[2]!r} is not an ISO date"
+                ) from None
+        ann.add((parts[1], parts[2]))
+        lines[lineno - 1] = ""  # blanked, not dropped, so parse errors cite file lines
     ont = _parse(path, "\n".join(lines))
     if ont.tbox:
         raise DataError(f"{path}: TBox axioms are not allowed in LSO files")

@@ -149,7 +149,7 @@ class HttpKbAdapter:
     def lookup(self, term: str) -> list[str]:
         from urllib.parse import quote
 
-        rows = self._get(self.lookup_url.format(term=quote(term)))
+        rows = self._get(self.lookup_url.format(term=quote(term, safe="")))
         if not rows or [c.strip() for c in rows[0]] != ["entity", "label"]:
             raise DataError("lookup response must start with header entity<TAB>label")
         wanted = normalize_label(term)
@@ -166,7 +166,7 @@ class HttpKbAdapter:
     def describe(self, entity_id: str) -> KbEntity:
         from urllib.parse import quote
 
-        rows = self._get(self.describe_url.format(entity=quote(entity_id)))
+        rows = self._get(self.describe_url.format(entity=quote(entity_id, safe="")))
         if not rows or [c.strip() for c in rows[0]] != ["field", "value"]:
             raise DataError("describe response must start with header field<TAB>value")
         labels, types, props = [], [], []

@@ -10,6 +10,7 @@ never from the implementation under test.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from time import perf_counter
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from conftest import MINI_FLIGHTS
 from genont import random_instance
 from oracles import naive_closure, p_value_quadrature, pearson_exact
-from test_contexts import _result_key, exhaustive_contexts, synth_space
+from test_contexts import _result_key, exhaustive_contexts, set_mask, synth_space
 from test_reasoner import FLIGHT_ATOMS, FLIGHT_DOC
 from transferlens.cli import main
 from transferlens.contexts import (
@@ -60,6 +61,13 @@ def flights_fti(flights):
 def flights_scan(flights, flights_fti):
     _, fti = flights_fti
     return core_context_search(flights.domains, fti, SearchConfig())
+
+
+@pytest.fixture(scope="module")
+def flights_full(flights_scan):
+    """The exhaustive scan of the report scan's space: every cluster set."""
+    cfg = SearchConfig(early_stop=False)
+    return CoreContextScan(flights_scan.space, flights_scan.clusters, cfg).run()
 
 
 # -- criterion 1: change-rate worked example ---------------------------------------
@@ -202,12 +210,22 @@ def test_c4_synchronized_extensions_bit_identical(flights, flights_fti, flights_
         ), f"trial {trial}"
 
 
-# -- criterion 5: pruning is lossless, and early stop loses no valid set ---------------
+# -- criterion 5: the cluster-set scan is lossless, and the concepts hold every valid set ------
 
 
-def _valid_sets(scan):
-    """A scan's valid cluster sets with their full result tuples."""
-    return {key: _result_key(res) for key, res in scan.results.items() if res.valid}
+def _valid_masks(full, fast):
+    """The masks of the exhaustive scan's valid cluster sets and of the
+    concept scan's valid concepts, each with its full result tuple."""
+    clusters = full.clusters
+    sets = {
+        set_mask(clusters, key): _result_key(res) for key, res in full.results.items() if res.valid
+    }
+    concepts = {
+        mask: _result_key(fast.results[gen])
+        for mask, (gen, _) in fast.concepts.items()
+        if fast.results[gen].valid
+    }
+    return sets, concepts
 
 
 def test_c5_pruned_search_equals_exhaustive():
@@ -217,18 +235,23 @@ def test_c5_pruned_search_equals_exhaustive():
         space, clusters = synth_space(seed, n_domains=n_domains, n_atoms=n_atoms)
         cfg = SearchConfig(max_dim=4, early_stop=False)
         scan = CoreContextScan(space, clusters, cfg).run()
-        got = {}
+        got, expanded = {}, Counter()
         for res in scan.iter_contexts():
             key = res.evidence.entailments
             assert key not in got, f"seed {seed}: duplicate {key}"
             got[key] = _result_key(res)
+            expanded[space.membership(key)] += 1
         want = exhaustive_contexts(space, clusters, cfg.max_dim)
         assert got.keys() == want.keys(), f"seed {seed}"
         for key in want:  # zero tolerance, full result tuple
             assert got[key] == _result_key(want[key]), f"seed {seed}: {key}"
-        # the early-stop walk keeps exactly the exhaustive walk's valid sets
+        # each valid set's mask is a valid concept whose cover is the number
+        # of expanded contexts with that mask, and no other concept is valid
         fast = CoreContextScan(space, clusters, SearchConfig(max_dim=4)).run()
-        assert _valid_sets(fast) == _valid_sets(scan), f"seed {seed}"
+        sets, concepts = _valid_masks(scan, fast)
+        assert sets == concepts, f"seed {seed}"
+        for mask in concepts:
+            assert fast.concepts[mask][1] == expanded[mask], f"seed {seed}: {mask:b}"
         assert fast.stats.valid == scan.stats.valid, f"seed {seed}"
     elapsed = perf_counter() - t0
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
@@ -237,7 +260,7 @@ def test_c5_pruned_search_equals_exhaustive():
 # -- criterion 6: property suites ----------------------------------------------
 
 
-def test_c6_property_suites(flights, flights_scan):
+def test_c6_property_suites(flights, flights_full):
     # transfer-index sign and monotonicity on a 20x20 gain/shift grid
     grid = np.linspace(-0.5, 0.5, 20)
     for w1, w2 in [(1.0, 1.0), (0.7, 0.3), (0.2, 0.9)]:
@@ -254,10 +277,11 @@ def test_c6_property_suites(flights, flights_scan):
         assert np.all(np.diff(vals, axis=0) >= -1e-12), "not monotone in gain"
         assert np.all(np.diff(vals, axis=1) <= 1e-12), "not antitone in shift"
 
-    # evidence-domain shrinkage is asserted inside every search step; that
-    # assert must be live, and the stored results must agree with it
+    # evidence-domain shrinkage is asserted inside every step of the
+    # exhaustive walk; that assert must be live, and the stored results of
+    # every cluster set must agree with it
     assert __debug__
-    results = flights_scan.results
+    results = flights_full.results
     assert results
     for key, res in results.items():
         if len(key) < 2:
@@ -287,7 +311,7 @@ def test_c6_property_suites(flights, flights_scan):
 # -- criterion 7: the corpus signal is recovered end to end ------------------------------
 
 
-def test_c7_end_to_end_discrimination(flights, flights_fti, flights_scan):
+def test_c7_end_to_end_discrimination(flights, flights_fti, flights_scan, flights_full):
     t0 = perf_counter()
     domains = flights.domains
     _, fti = flights_fti
@@ -313,21 +337,19 @@ def test_c7_end_to_end_discrimination(flights, flights_fti, flights_scan):
     look = flights_scan.lookup(plant)
     assert look.valid and look.gamma > 0
 
-    key = frozenset(flights_scan.clusters.of_entailment[g] for g in plant)
-    covered = {
-        frozenset(flights_scan.clusters.of_entailment[g] for g in ev.entailments):
-        (res, cover)
-        for ev, res, cover in flights_scan.rep_results()
-    }
-    res, cover = covered[key]
+    # its mask is a valid concept row of the report, with the same numbers
+    space = flights_scan.space
+    rows = {space.membership(res.evidence.entailments): (res, cover)
+            for res, cover in flights_scan.concept_rows()}
+    res, cover = rows[space.membership(plant)]
     assert res.valid and cover >= 1
     assert (res.gamma, res.rho) == (look.gamma, look.rho)
 
-    # the report's early-stop scan finds every valid set the exhaustive one does
-    full = CoreContextScan(flights_scan.space, flights_scan.clusters, SearchConfig(early_stop=False))
-    full.run()
-    assert _valid_sets(flights_scan) == _valid_sets(full)
-    assert flights_scan.stats.valid == full.stats.valid
+    # the report's concept scan holds the mask of every valid set the
+    # exhaustive one finds, and no other valid mask
+    sets, concepts = _valid_masks(flights_full, flights_scan)
+    assert sets == concepts
+    assert flights_scan.stats.valid == flights_full.stats.valid
 
     elapsed = perf_counter() - t0
     assert elapsed < 600.0, f"took {elapsed:.1f}s"

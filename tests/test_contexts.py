@@ -4,17 +4,16 @@ import functools
 import itertools
 import math
 import operator
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from domfix import atom_domain
-from transferlens import contexts
 from transferlens.contexts import (
     CoreContextScan,
     SearchConfig,
     _cluster_closures,
-    _count_expansions,
     core_context_search,
     fast_extend,
     sync_clusters,
@@ -87,6 +86,36 @@ def _result_key(res: EvidenceResult):
 def exhaustive_count(clusters, max_dim):
     """Cluster sets the exhaustive walk scores: every set of 1..max_dim clusters."""
     return sum(math.comb(len(clusters.clusters), k) for k in range(1, max_dim + 1))
+
+
+def set_mask(clusters, key):
+    """The domain mask of a cluster set: the AND of its clusters' masks."""
+    return functools.reduce(operator.and_, (clusters.masks[i] for i in key))
+
+
+def expansions(sizes, max_dim):
+    """Contexts of 2..max_dim entailments taking at least one from each of
+    clusters of these sizes: the coefficients of x^2..x^max_dim in the
+    product of the clusters' (1 + x)^size - 1."""
+    poly = [1]
+    for size in sizes:
+        term = [0] + [math.comb(size, j) for j in range(1, size + 1)]
+        poly = [
+            sum(poly[i] * term[t - i] for i in range(len(poly)) if 0 <= t - i <= size)
+            for t in range(min(len(poly) + size, max_dim + 1))
+        ]
+    return sum(poly[2:])
+
+
+def all_fixtures():
+    """Every synth_space fixture of this file and of acceptance criterion 5."""
+    fixtures = [synth_space(seed, alpha=0.4) for seed in range(12)]
+    fixtures += [synth_space(seed) for seed in range(12)]
+    fixtures += [synth_space(seed, n_domains=4, n_atoms=10, alpha=0.4) for seed in range(6)]
+    fixtures += [synth_space(2, n_domains=3, n_atoms=9), synth_space(4, alpha=0.01)]
+    fixtures += [synth_space(seed, n_domains=6, n_atoms=10) for seed in range(8)]
+    fixtures += [synth_space(seed, n_domains=4, n_atoms=8) for seed in range(4)]
+    return fixtures
 
 
 # -- clustering ---------------------------------------------------------------
@@ -211,12 +240,11 @@ def test_stats_account_for_every_context():
     assert scan.stats.covered == scan.stats.enumerable
     assert sum(1 for r in scan.iter_contexts()) == scan.stats.covered
     assert scan.stats.valid == sum(1 for r in scan.iter_contexts() if r.valid)
-    assert 0.0 <= scan.stats.prune_rate <= 1.0
 
 
 @pytest.mark.parametrize("stop", [False, True])
 def test_store_is_keyed_by_index_tuple_in_walk_order(stop):
-    # the store's order is the row order of scan.tsv and contexts.tsv
+    # the store's order is the row order of scan.tsv
     for seed in range(6):
         space, clusters = synth_space(seed, alpha=0.4)
         cfg = SearchConfig(max_dim=4, alpha=0.4, early_stop=stop)
@@ -227,30 +255,34 @@ def test_store_is_keyed_by_index_tuple_in_walk_order(stop):
             assert all(type(i) is int for i in key)
             assert all(a < b for a, b in zip(key, key[1:])), f"seed {seed}: {key}"
         assert keys == sorted(keys), f"seed {seed}"
-        reps = clusters.reps
-        yielded = [context.entailments for context, _, _ in scan.rep_results()]
-        assert yielded == [frozenset(reps[i] for i in key) for key in keys]
+        if stop:  # one key per concept, its generator
+            assert keys == sorted(gen for gen, _ in scan.concepts.values())
+        else:
+            assert len(keys) == exhaustive_count(clusters, cfg.max_dim)
 
 
 @pytest.mark.parametrize("stop", [False, True])
 def test_stats_rebuild_from_the_store(stop):
-    pruned = False
+    smaller = False
     for seed in range(6):
         space, clusters = synth_space(seed, n_domains=4, n_atoms=10, alpha=0.4)
         cfg = SearchConfig(max_dim=4, alpha=0.4, early_stop=stop)
         scan = CoreContextScan(space, clusters, cfg).run()
-        pruned |= scan.stats.evaluated < exhaustive_count(clusters, cfg.max_dim)
-        covered = valid = inherited = 0
-        for key, res in scan.results.items():
-            sizes = sorted(len(clusters.clusters[i]) for i in key)
-            cover = _count_expansions(sizes, max(2, len(key)), cfg.max_dim)
-            covered += cover
-            inherited += cover - (1 if len(key) >= 2 else 0)
-            if res.valid:
-                valid += cover
+        smaller |= scan.stats.evaluated < exhaustive_count(clusters, cfg.max_dim)
+        covered = valid = 0
+        if stop:  # a concept's cover, valid when its generator's result is
+            for gen, cover in scan.concepts.values():
+                covered += cover
+                valid += cover if scan.results[gen].valid else 0
+        else:  # each cluster set's concrete contexts
+            for key, res in scan.results.items():
+                cover = expansions([len(clusters.clusters[i]) for i in key], cfg.max_dim)
+                covered += cover
+                valid += cover if res.valid else 0
         st = scan.stats
-        assert (covered, valid, inherited) == (st.covered, st.valid, st.inherited), seed
-    assert pruned == stop, "fixtures must prune exactly when early stop is on"
+        assert (covered, valid, len(scan.results)) == (st.covered, st.valid, st.evaluated), seed
+        assert st.covered == st.enumerable, seed
+    assert smaller == stop, "fixtures must store fewer keys exactly when early stop is on"
 
 
 def sized_space(seed, sizes, n_domains=6, alpha=0.4):
@@ -277,58 +309,88 @@ def sized_space(seed, sizes, n_domains=6, alpha=0.4):
     return space, _cluster_closures(space.masks, set())
 
 
-@pytest.mark.parametrize("stop", [False, True])
-def test_profile_codes_never_collide(stop):
-    # seven clusters of one size can fill a digit up to max_dim, and sizes
-    # of 30 and more sit beside small ones in the digits' size ranks
+def test_covers_on_large_clusters_match_per_set_expansion():
+    # clusters of 30 and more entailments sit beside small ones; the per-set
+    # expansions of the exhaustive store, grouped by mask, are each concept's
+    # cover, and every enumerable context is covered once
     sizes = [2] * 7 + [1, 3, 30, 31, 45]
-    pruned = False
     for max_dim in range(2, 7):
         space, clusters = sized_space(max_dim, sizes)
         assert sorted(len(c) for c in clusters.clusters) == sorted(sizes)
-        cfg = SearchConfig(max_dim=max_dim, alpha=0.4, early_stop=stop)
+        cfg = SearchConfig(max_dim=max_dim, alpha=0.4, early_stop=False)
         scan = CoreContextScan(space, clusters, cfg).run()
-        pruned |= scan.stats.evaluated < exhaustive_count(clusters, max_dim)
-        covered = valid = 0
-        profiles = set()
+        want, valid = Counter(), 0
         for key, res in scan.results.items():
-            profile = sorted(len(clusters.clusters[i]) for i in key)
-            profiles.add(tuple(profile))
-            cover = _count_expansions(profile, max(2, len(key)), max_dim)
-            covered += cover
-            valid += cover if res.valid else 0
-        assert (scan.stats.covered, scan.stats.valid) == (covered, valid), max_dim
-        assert len(scan._covers) == len(profiles), max_dim
-        if not stop:
-            assert scan.stats.covered == scan.stats.enumerable
-    assert pruned == stop
+            count = expansions([len(clusters.clusters[i]) for i in key], max_dim)
+            want[set_mask(clusters, key)] += count
+            valid += count if res.valid else 0
+        got = {m: g for m, (_, g) in scan.concepts.items()}
+        assert got == {m: want[m] for m in got}, max_dim
+        assert got.keys() == want.keys(), max_dim
+        assert scan.stats.covered == scan.stats.enumerable == sum(want.values()), max_dim
+        assert scan.stats.valid == valid, max_dim
+
+
+def test_lattice_equals_exhaustive_grouping_by_mask():
+    # the exhaustive store's concrete contexts, grouped by domain mask, give
+    # every concept, its least generator and its cover
+    total_valid = 0
+    for k, (space, clusters) in enumerate(all_fixtures()):
+        for max_dim in (2, 3, 4):
+            full = CoreContextScan(
+                space, clusters, SearchConfig(max_dim=max_dim, alpha=space.alpha, early_stop=False)
+            ).run()
+            lattice = CoreContextScan(
+                space, clusters, SearchConfig(max_dim=max_dim, alpha=space.alpha)
+            ).run()
+            counts = Counter(space.membership(r.evidence.entailments) for r in full.iter_contexts())
+            first: dict[int, tuple[int, ...]] = {}
+            for key in full.results:  # sorted key order
+                mask = set_mask(clusters, key)
+                if mask not in first or len(key) < len(first[mask]):
+                    first[mask] = key
+            where = f"fixture {k}, max_dim {max_dim}"
+            assert {m: gen for m, (gen, _) in lattice.concepts.items()} == first, where
+            assert {m: g for m, (_, g) in lattice.concepts.items() if g} == counts, where
+            assert full.concepts == lattice.concepts, where
+            brute = exhaustive_contexts(space, clusters, max_dim)
+            valid = sum(1 for res in brute.values() if res.valid)
+            assert lattice.stats.valid == full.stats.valid == valid, where
+            assert lattice.stats.covered == lattice.stats.enumerable == len(brute), where
+            total_valid += valid
+    assert total_valid > 0, "fixtures hold no valid context"
 
 
 def test_early_stop_prunes_but_never_lies():
+    smaller = False
     total_valid = 0
-    pruned_something = False
-    # every synth_space fixture of this file
-    fixtures = [synth_space(seed, alpha=0.4) for seed in range(12)]
-    fixtures += [synth_space(seed) for seed in range(12)]
-    fixtures += [synth_space(seed, n_domains=4, n_atoms=10, alpha=0.4) for seed in range(6)]
-    fixtures += [synth_space(2, n_domains=3, n_atoms=9), synth_space(4, alpha=0.01)]
-    for k, (space, clusters) in enumerate(fixtures):
+    for k, (space, clusters) in enumerate(all_fixtures()):
         cfg_off = SearchConfig(max_dim=4, alpha=space.alpha, early_stop=False)
         cfg_on = SearchConfig(max_dim=4, alpha=space.alpha, early_stop=True)
         full = CoreContextScan(space, clusters, cfg_off).run()
         fast = CoreContextScan(space, clusters, cfg_on).run()
         assert full.stats.evaluated == exhaustive_count(clusters, cfg_off.max_dim)
-        pruned_something |= fast.stats.evaluated < full.stats.evaluated
+        assert fast.stats.evaluated == len(fast.concepts)
+        smaller |= fast.stats.evaluated < full.stats.evaluated
 
-        # whatever the pruned search reports is exactly what the full search has
+        # whatever the concept scan stores is exactly what the full scan has
         for key, res in fast.results.items():
             assert _result_key(res) == _result_key(full.results[key])
-        # and it keeps every valid cluster set, so the valid cover is exact
-        valid = {key for key, res in full.results.items() if res.valid}
-        assert valid <= fast.results.keys(), f"fixture {k}: lost {sorted(valid - fast.results.keys())}"
+        # and each valid cluster set's mask is a valid concept of the same result
+        valid = {
+            set_mask(clusters, key): _result_key(res)
+            for key, res in full.results.items()
+            if res.valid
+        }
+        held = {
+            mask: _result_key(fast.results[gen])
+            for mask, (gen, _) in fast.concepts.items()
+            if fast.results[gen].valid
+        }
+        assert held == valid, f"fixture {k}"
         assert fast.stats.valid == full.stats.valid, f"fixture {k}"
         total_valid += len(valid)
-    assert pruned_something, "fixtures never triggered the early stop"
+    assert smaller, "no fixture has fewer concepts than cluster sets"
     assert total_valid > 0, "fixtures hold no valid cluster set"
 
 
@@ -363,42 +425,6 @@ def test_each_domain_mask_is_scored_once(seed):
     assert len(calls) == len(distinct)
 
 
-# -- expansion counting ----------------------------------------------------------
-
-
-def test_count_expansions_matches_brute_force():
-    rng = np.random.default_rng(11)
-    for _ in range(60):
-        sizes = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 4)))]
-        lo = int(rng.integers(1, 5))
-        hi = int(rng.integers(lo, 7))
-        brute = 0
-        pools = [range(s) for s in sizes]
-        for picks in itertools.product(
-            *(
-                [c for k in range(1, s + 1) for c in itertools.combinations(p, k)]
-                for p, s in zip(pools, sizes)
-            )
-        ):
-            if lo <= sum(len(p) for p in picks) <= hi:
-                brute += 1
-        assert _count_expansions(sizes, lo, hi) == brute, (sizes, lo, hi)
-
-
-def test_rep_results_cover_counts_sum_to_covered():
-    space, clusters = synth_space(7)
-    scan = CoreContextScan(space, clusters, SearchConfig(max_dim=3, early_stop=False)).run()
-    assert sum(c for _, _, c in scan.rep_results()) == scan.stats.covered
-    # each yielded result carries its own representative context
-    rep_sets = {frozenset(clusters.reps[i] for i in key) for key in scan.results}
-    yielded = []
-    for context, res, _ in scan.rep_results():
-        assert res.evidence is context
-        assert context.entailments in rep_sets
-        yielded.append(context.entailments)
-    assert len(yielded) == len(set(yielded)) == len(rep_sets)
-
-
 def test_scan_stores_one_shared_result_per_domain_mask():
     space, clusters = synth_space(3)
     scan = CoreContextScan(space, clusters, SearchConfig(max_dim=4, early_stop=False)).run()
@@ -409,25 +435,6 @@ def test_scan_stores_one_shared_result_per_domain_mask():
     assert len(masks) < len(scan.results)
     assert len({id(res) for res in scan.results.values()}) == len(masks)
     assert all(res.evidence is None for res in scan.results.values())
-
-
-def test_cover_is_counted_once_per_cluster_size_profile(monkeypatch):
-    calls = []
-    kernel = contexts._count_expansions
-
-    def counting(sizes, lo, hi):
-        calls.append(tuple(sizes))
-        return kernel(sizes, lo, hi)
-
-    monkeypatch.setattr(contexts, "_count_expansions", counting)
-    # few domains, many atoms: clusters of several sizes
-    space, clusters = synth_space(2, n_domains=3, n_atoms=9)
-    scan = CoreContextScan(space, clusters, SearchConfig(max_dim=4, early_stop=False)).run()
-    covers = [c for _, _, c in scan.rep_results()]
-    profiles = {tuple(sorted(len(clusters.clusters[i]) for i in key)) for key in scan.results}
-    assert len(profiles) < len(scan.results)
-    assert sorted(calls) == sorted(profiles)
-    assert sum(covers) == scan.stats.covered == scan.stats.enumerable
 
 
 # -- lookup -----------------------------------------------------------------------

@@ -103,6 +103,13 @@ def test_unknown_directive_rejected(tmp_path):
     )
     with pytest.raises(DataError, match="@note"):
         load_corpus(root)
+    # a directive that merely starts with "@ann" is not an annotation
+    for line in ("@annotate dat 2020-01-01", "@ann2 k v"):
+        root = _write_corpus(
+            tmp_path / line.split()[0], domains={"d1": ("A(x)", [f"{line}\nClassAssert(A x)"])}
+        )
+        with pytest.raises(DataError, match=f"unknown directive '{line.split()[0]}'"):
+            load_corpus(root)
 
 
 def test_manifest_errors(tmp_path):

@@ -256,7 +256,10 @@ def test_audit_record_line_format():
 
 
 class _Handler(BaseHTTPRequestHandler):
+    paths: list[str] = []  # every request path, as the server received it
+
     def do_GET(self):
+        self.paths.append(self.path)
         if self.path.startswith("/lookup/"):
             body = "entity\tlabel\nAPT1\tLAX\nSONG1\tLAX\nAPT1\tLAX\nX9\tOther\n"
         elif self.path.startswith("/describe/"):
@@ -297,6 +300,17 @@ def test_http_adapter_lookup_and_describe(kb_server):
     assert e.labels == ("LAX",)
     assert e.types == ("CivilAirport",)
     assert e.props == (("iata", "LAX"),)
+
+
+def test_http_adapter_quotes_slashes_in_names(kb_server):
+    # "/" is a legal name character; it must stay inside one path segment
+    adapter = HttpKbAdapter(
+        kb_server + "/lookup/{term}", kb_server + "/describe/{entity}"
+    )
+    assert adapter.lookup("LAX/T4") == []
+    assert _Handler.paths[-1] == "/lookup/LAX%2FT4"
+    adapter.describe("APT/1")
+    assert _Handler.paths[-1] == "/describe/APT%2F1"
 
 
 def test_http_adapter_validates_headers_and_status(kb_server):
