@@ -26,8 +26,8 @@ _EXPORTS = {
     ),
     "corpus": ("Corpus", "load_corpus"),
     "domain": (
-        "FeatureVector", "LearningDomain", "Lso", "boe_encode", "build_vocabulary",
-        "domain_annotation", "encode_dataset", "split_indices", "value_properties",
+        "LearningDomain", "Lso", "domain_annotation", "encode_dataset", "feature_space",
+        "split_indices",
     ),
     "errors": ("DataError", "UsageError"),
     "evidence": (

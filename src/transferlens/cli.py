@@ -142,10 +142,10 @@ def _load_fti(args, cfg: PipelineConfig, outdir: Path, domains) -> dict:
 
 def parse_evidence(text: str):
     """d_new/d_obs/d_inv, one entailment, or a '+'-joined context."""
-    from .evidence import CoreContext, GeneralFactor, ParticularNarrator
+    from .evidence import CoreContext, FactorKind, GeneralFactor, ParticularNarrator
 
     text = text.strip()
-    if text in ("d_new", "d_obs", "d_inv"):
+    if text in {k.value for k in FactorKind}:
         return GeneralFactor.parse(text)
     if "+" in text:
         try:

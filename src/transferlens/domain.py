@@ -86,7 +86,21 @@ class LearningDomain:
                 )
         return self._closures
 
+    def consistent_closures(self) -> tuple[EntailmentClosure, ...]:
+        """``lso_closures()``, refusing any inconsistent LSO: a contradictory
+        observation entails everything and would poison roots and features
+        silently."""
+        closures = self.lso_closures()
+        for lso, c in zip(self.lsos, closures):
+            if c.inconsistent:
+                raise DataError(
+                    f"LSO {lso.name!r} of domain {self.id} is inconsistent "
+                    f"({c.inconsistency_witness}); roots and features need consistent LSOs"
+                )
+        return closures
+
     def closure_atom_sets(self) -> tuple[frozenset[Entailment], ...]:
+        # nothing in the package calls this; perfbench/spans.py patches it
         return tuple(c.atoms() for c in self.lso_closures())
 
     def entailment_closure(self) -> frozenset[Entailment]:
@@ -126,22 +140,6 @@ def domain_annotation(domain: LearningDomain) -> frozenset[tuple[str, str]]:
     return frozenset(shared)
 
 
-def build_vocabulary(domains) -> tuple[Entailment, ...]:
-    """Sorted union of LSO closure entailments, excluding every target.
-
-    Accepts one domain or a comparison set; a shared vocabulary makes
-    encodings from different domains dimensionally compatible.
-    """
-    if isinstance(domains, LearningDomain):
-        domains = [domains]
-    targets = {d.target for d in domains}
-    vocab: set[Entailment] = set()
-    for d in domains:
-        for atoms in d.closure_atom_sets():
-            vocab |= atoms
-    return tuple(sorted(vocab - targets))
-
-
 def _numeric(text: str) -> float | None:
     """The finite number ``text`` spells, else None."""
     try:
@@ -151,71 +149,22 @@ def _numeric(text: str) -> float | None:
     return v if math.isfinite(v) else None
 
 
-def value_properties(domains) -> tuple[str, ...]:
-    """Roles whose objects are finite numbers in every occurrence, sorted."""
-    if isinstance(domains, LearningDomain):
-        domains = [domains]
+def feature_space(domains) -> tuple[tuple[Entailment, ...], tuple[str, ...]]:
+    """The vocabulary and value properties shared by a comparison set.
+
+    Both come from the union of the domain closures.  The vocabulary is that
+    union, sorted, without any domain's target; sharing it makes encodings
+    of different domains dimensionally compatible.  A value property is a
+    role whose objects are finite numbers in every occurrence.
+    """
+    atoms = frozenset().union(*(d.entailment_closure() for d in domains))
     numeric: set[str] = set()
     tainted: set[str] = set()
-    for d in domains:
-        for atoms in d.closure_atom_sets():
-            for g in atoms:
-                if g.is_class_atom:
-                    continue
-                if _numeric(g.args[1]) is None:
-                    tainted.add(g.pred)
-                else:
-                    numeric.add(g.pred)
-    return tuple(sorted(numeric - tainted))
-
-
-@dataclass
-class FeatureVector:
-    bits: np.ndarray
-    values: np.ndarray
-    label: int
-
-    @property
-    def x(self) -> np.ndarray:
-        import numpy as np
-
-        return np.concatenate([self.bits, self.values])
-
-
-def boe_encode(
-    domain: LearningDomain,
-    index: int,
-    vocab: tuple[Entailment, ...],
-    value_props: tuple[str, ...] = (),
-) -> FeatureVector:
-    """Encode one LSO as vocabulary bits plus value-property averages.
-
-    Refuses inconsistent LSOs: a contradictory observation entails
-    everything and would poison the encoding silently.
-    """
-    import numpy as np
-
-    closure = domain.lso_closures()[index]
-    if closure.inconsistent:
-        raise DataError(
-            f"LSO {domain.lsos[index].name!r} of domain {domain.id} is "
-            f"inconsistent ({closure.inconsistency_witness}); refusing to encode"
-        )
-    atoms = closure.atoms()
-    bits = np.array([1.0 if g in atoms else 0.0 for g in vocab], dtype=np.float64)
-    vals = np.zeros(len(value_props), dtype=np.float64)
-    if value_props:
-        sums = {p: [] for p in value_props}
-        for g in atoms:
-            if not g.is_class_atom and g.pred in sums:
-                v = _numeric(g.args[1])
-                if v is not None:
-                    sums[g.pred].append(v)
-        for j, p in enumerate(value_props):
-            if sums[p]:
-                # the atoms are a set, so the sum must not depend on their order
-                vals[j] = math.fsum(sums[p]) / len(sums[p])
-    return FeatureVector(bits=bits, values=vals, label=int(closure.entails(domain.target)))
+    for g in atoms:
+        if not g.is_class_atom:
+            (tainted if _numeric(g.args[1]) is None else numeric).add(g.pred)
+    vocab = tuple(sorted(atoms - {d.target for d in domains}))
+    return vocab, tuple(sorted(numeric - tainted))
 
 
 def encode_dataset(
@@ -223,13 +172,32 @@ def encode_dataset(
     vocab: tuple[Entailment, ...],
     value_props: tuple[str, ...] = (),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All LSOs of a domain as a feature matrix and label vector."""
+    """All LSOs of a domain as a feature matrix and label vector.
+
+    Row i has one bit per vocabulary entailment of LSO i's closure, then the
+    mean of each value property's numbers there (0 where it has none).  The
+    atoms are a set, so each mean is an ``fsum``, which does not depend on
+    their order.  Refuses inconsistent LSOs (``consistent_closures``).
+    """
     import numpy as np
 
-    fvs = [boe_encode(domain, i, vocab, value_props) for i in range(len(domain.lsos))]
-    X = np.stack([fv.x for fv in fvs])
-    y = np.array([fv.label for fv in fvs], dtype=np.int64)
-    return X, y
+    closures = domain.consistent_closures()
+    column = {g: j for j, g in enumerate(vocab)}
+    value_column = {p: len(vocab) + j for j, p in enumerate(value_props)}
+    X = np.zeros((len(closures), len(vocab) + len(value_props)), dtype=np.float64)
+    for i, closure in enumerate(closures):
+        values: dict[int, list[float]] = {}
+        for g in closure.atoms():
+            j = column.get(g)
+            if j is not None:
+                X[i, j] = 1.0
+            if not g.is_class_atom and g.pred in value_column:
+                v = _numeric(g.args[1])
+                if v is not None:
+                    values.setdefault(value_column[g.pred], []).append(v)
+        for j, vs in values.items():
+            X[i, j] = math.fsum(vs) / len(vs)
+    return X, domain.labels()
 
 
 def split_indices(

@@ -226,9 +226,9 @@ def _stirling_tail(x: float) -> float:
 
 
 class FactorKind(enum.Enum):
-    NEW = "new"
-    OBS = "obs"
-    INV = "inv"
+    NEW = "d_new"
+    OBS = "d_obs"
+    INV = "d_inv"
 
 
 @dataclass(frozen=True)
@@ -236,21 +236,16 @@ class GeneralFactor:
     kind: FactorKind
 
     def __str__(self) -> str:
-        return {"new": "d_new", "obs": "d_obs", "inv": "d_inv"}[self.kind.value]
+        return self.kind.value
 
     @staticmethod
     def parse(text: str) -> "GeneralFactor":
-        table = {
-            "d_new": FactorKind.NEW,
-            "d_obs": FactorKind.OBS,
-            "d_inv": FactorKind.INV,
-        }
-        kind = table.get(text.strip())
-        if kind is None:
+        try:
+            return GeneralFactor(FactorKind(text.strip()))
+        except ValueError:
             raise DataError(
                 f"unknown general factor {text!r} (expected d_new, d_obs or d_inv)"
-            )
-        return GeneralFactor(kind)
+            ) from None
 
 
 @dataclass(frozen=True)

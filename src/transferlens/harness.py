@@ -49,13 +49,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .config import TrainConfig, check_weights
-from .domain import (
-    LearningDomain,
-    build_vocabulary,
-    encode_dataset,
-    split_indices,
-    value_properties,
-)
+from .domain import LearningDomain, encode_dataset, feature_space, split_indices
 from .errors import DataError
 
 if TYPE_CHECKING:
@@ -330,28 +324,33 @@ class DomainDataset:
 def prepare_datasets(
     domains: list[LearningDomain], cfg: TrainConfig
 ) -> list[DomainDataset]:
-    """Encode every domain over the shared vocabulary and split it.
+    """Encode the usable domains over their shared feature space and split them.
 
-    Domains that cannot be encoded or whose training split collapses to a
-    single class are skipped with a warning so one bad domain does not sink
-    the whole matrix.
+    A domain is usable when every LSO is consistent and both its training
+    and test splits hold both classes.  Any other domain is skipped with a
+    warning, so one bad domain does not sink the whole matrix.  The
+    vocabulary and value properties come from the usable domains alone, so
+    a skipped domain changes no other domain's features.
     """
-    vocab = build_vocabulary(domains)
-    props = value_properties(domains)
-    out = []
+    usable = []
     for d in domains:
         try:
-            x, y = encode_dataset(d, vocab, props)
+            d.consistent_closures()
+            y = d.labels()
             train, test = split_indices(d, cfg.train_frac, cfg.seed)
             _check_labels(y[train], f"training split of {d.id}")
             _check_labels(y[test], f"test split of {d.id}")
         except DataError as exc:
             log.warning("skipping domain %s: %s", d.id, exc)
             continue
-        out.append(DomainDataset(d.id, x, y, train, test))
-    if len(out) < 2:
+        usable.append((d, train, test))
+    if len(usable) < 2:
         raise DataError("need at least two usable domains for a transfer matrix")
-    return out
+    vocab, props = feature_space([d for d, _, _ in usable])
+    return [
+        DomainDataset(d.id, *encode_dataset(d, vocab, props), train, test)
+        for d, train, test in usable
+    ]
 
 
 def _seed_list(cfg: TrainConfig) -> list[int]:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .config import MiningParams
 from .domain import LearningDomain, membership_masks
-from .errors import DataError
 from .reasoner import Entailment
 
 
@@ -36,13 +35,7 @@ class RootSet:
 
 def _lso_masks(domain: LearningDomain) -> tuple[dict[Entailment, int], int]:
     """Per-entailment LSO membership masks and the LSO count."""
-    closures = domain.lso_closures()
-    for i, c in enumerate(closures):
-        if c.inconsistent:
-            raise DataError(
-                f"LSO {domain.lsos[i].name!r} of domain {domain.id} is "
-                f"inconsistent; mine roots on a consistent corpus"
-            )
+    closures = domain.consistent_closures()
     return membership_masks(c.atoms() for c in closures), len(closures)
 
 

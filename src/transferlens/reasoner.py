@@ -23,7 +23,10 @@ Every closure runs to its fixpoint; inconsistency is read once, after the
 worklist empties.  It has exactly two sources: Bottom (an ordinary stored
 atom) is derived for some individual, or two individuals asserted distinct
 end up merged.  The least fixpoint does not depend on derivation order, so
-the atoms, merged groups and witness do not depend on ``PYTHONHASHSEED``.  An
+the atoms, merged groups and witness do not depend on ``PYTHONHASHSEED``.  The
+derivation order does not either: the ABox and every set a step walks are
+read in sorted order, so ``insertions``, which counts the re-adds a merge
+makes, is the same in every process.  An
 inconsistent closure entails every atom and its atom sets are not meant for
 downstream use.
 """
@@ -450,10 +453,10 @@ def materialize(tbox, abox) -> EntailmentClosure:
         if res is None:
             return
         kept, absorbed = res
-        for k in by_ind.pop(absorbed, ()):
+        for k in sorted(by_ind.pop(absorbed, ())):
             class_atoms.discard((k, absorbed))
             push_class(k, kept)
-        moved_r = [t for t in role_atoms if t[1] == absorbed or t[2] == absorbed]
+        moved_r = sorted(t for t in role_atoms if t[1] == absorbed or t[2] == absorbed)
         for role, s, o in moved_r:
             role_atoms.discard((role, s, o))
             role_out.get((role, s), set()).discard(o)
@@ -482,7 +485,7 @@ def materialize(tbox, abox) -> EntailmentClosure:
         for role, ind in rules.exr_ground.get(key, ()):
             push_role(role, x, ind)
         for role, b in rules.exl_by_filler.get(key, ()):
-            for a in role_in.get((role, x), ()):
+            for a in sorted(role_in.get((role, x), ())):
                 push_class(b, a)
 
     def add_role(role: str, a: str, b: str) -> None:
@@ -501,17 +504,17 @@ def materialize(tbox, abox) -> EntailmentClosure:
             if f == _TOP or f in fillers:
                 push_class(rhs, a)
         for second, sup_role in rules.chain_by_first.get(role, ()):
-            for z in list(role_out.get((second, b), ())):
+            for z in sorted(role_out.get((second, b), ())):
                 push_role(sup_role, a, z)
         for first, sup_role in rules.chain_by_second.get(role, ()):
-            for w in list(role_in.get((first, a), ())):
+            for w in sorted(role_in.get((first, a), ())):
                 push_role(sup_role, w, b)
 
     for ind in sorted(rules.nominal_inds):
         mention(ind)
         push_class("}" + ind, ind)
 
-    for ax in axioms:
+    for ax in sorted(axioms, key=str):
         if isinstance(ax, ClassAssertion):
             mention(ax.individual)
             push_class(ax.concept.name, ax.individual)

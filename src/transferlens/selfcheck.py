@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .contexts import SearchConfig, core_context_search
 from .domain import LearningDomain, Lso
-from .evidence import change_rates_from_counts, p_value, pearson
+from .evidence import change_rates, change_rates_from_counts, p_value, pearson
 from .mining import MiningParams, mine_roots
 from .ontology import axioms_to_text, normalize_tbox, parse_abox, parse_ontology, parse_tbox
 from .reasoner import Entailment, materialize
@@ -87,6 +87,12 @@ def _check_change_rates():
     _check(abs(cr.new - 10 / 16) < 1e-15, f"new rate {cr.new}")
     _check(abs(cr.obsolete - 4 / 10) < 1e-15, f"obsolete rate {cr.obsolete}")
     _check(abs(cr.invariant - 6 / 26) < 1e-15, f"invariant rate {cr.invariant}")
+    # the set form, which report scores general factors with: the invariant
+    # rate divides by the union, {A..E}
+    cr = change_rates(frozenset("ABCD"), frozenset("CDE"))
+    _check(cr.new == 1 / 3, f"set new rate {cr.new}")
+    _check(cr.obsolete == 2 / 4, f"set obsolete rate {cr.obsolete}")
+    _check(cr.invariant == 2 / 5, f"set invariant rate {cr.invariant}")
 
 
 def _pearson_fraction(xs, ys):

@@ -10,15 +10,10 @@ import pytest
 
 from domfix import make_domain
 from transferlens import domain
-from transferlens.domain import (
-    boe_encode,
-    build_vocabulary,
-    domain_annotation,
-    encode_dataset,
-    split_indices,
-    value_properties,
-)
+from transferlens.config import MiningParams
+from transferlens.domain import domain_annotation, encode_dataset, feature_space, split_indices
 from transferlens.errors import DataError
+from transferlens.mining import mine_roots
 from transferlens.reasoner import Entailment
 
 TBOX = """
@@ -84,54 +79,58 @@ def test_closing_lsos_pauses_the_cycle_collector(enabled, monkeypatch):
 
 def test_vocabulary_excludes_targets_and_is_sorted():
     d = _dom()
-    vocab = build_vocabulary(d)
+    vocab, _ = feature_space([d])
     assert Entailment.parse("Delayed(d)") not in vocab
     assert list(vocab) == sorted(vocab)
+    assert set(vocab) == d.entailment_closure() - {d.target}
     # shared vocabulary across a comparison set drops every domain's target
     other = make_domain("o", "Wet(w)", LSOS, tbox=TBOX)
-    shared = build_vocabulary([d, other])
+    shared, _ = feature_space([d, other])
     assert Entailment.parse("Wet(w)") not in shared
     assert Entailment.parse("Delayed(d)") not in shared
 
 
 def test_value_properties_require_numeric_everywhere():
     d = _dom()
-    assert value_properties(d) == ("dist",)
+    assert feature_space([d])[1] == ("dist",)
     tainted = make_domain(
         "t", "Delayed(d)", LSOS + ["RoleAssert(dist d far)"], tbox=TBOX
     )
-    assert value_properties(tainted) == ()
+    assert feature_space([tainted])[1] == ()
+    # one domain's non-numeric object taints the role for the whole set
+    assert feature_space([d, tainted])[1] == ()
     # a non-finite value would give a NaN feature, or stop the mean's fsum
     for doc in ("RoleAssert(dist d nan)", "RoleAssert(dist d inf)\nRoleAssert(dist d -inf)"):
         d = make_domain("t", "Delayed(d)", LSOS + [doc], tbox=TBOX)
-        assert value_properties(d) == (), doc
-        assert boe_encode(d, 3, (), ("dist",)).values.tolist() == [0.0], doc
+        assert feature_space([d])[1] == (), doc
+        X, _ = encode_dataset(d, (), ("dist",))
+        assert X.tolist() == [[120.0], [80.0], [150.0], [0.0]], doc
 
 
-def test_boe_encode_bits_and_value_means():
+def test_encode_dataset_bits_and_value_means():
     d = _dom()
-    vocab = build_vocabulary(d)
-    props = value_properties(d)
-    fv = boe_encode(d, 2, vocab, props)
-    atoms = d.lso_closures()[2].atoms()
-    assert fv.bits.tolist() == [1.0 if g in atoms else 0.0 for g in vocab]
-    # two dist assertions average
-    assert fv.values.tolist() == [150.0]
-    assert fv.label == 1
-    assert fv.x.shape == (len(vocab) + 1,)
+    vocab, props = feature_space([d])
+    X, y = encode_dataset(d, vocab, props)
+    assert X.dtype == np.float64
+    for row, closure in zip(X.tolist(), d.lso_closures()):
+        atoms = closure.atoms()
+        assert row[:-1] == [1.0 if g in atoms else 0.0 for g in vocab]
+    # the third LSO's two dist assertions average
+    assert X[:, -1].tolist() == [120.0, 80.0, 150.0]
+    assert y.dtype == np.int64 and y.tolist() == [1, 0, 1]
 
 
 _ENCODE_VALUES = """\
 from domfix import make_domain
-from transferlens.domain import boe_encode, value_properties
+from transferlens.domain import encode_dataset, feature_space
 values = ["1e16", "1", "-1e16", "3", "0.1", "7", "2.5"]
 doc = "\\n".join(["ClassAssert(K d)"] + [f"RoleAssert(hasX d {v})" for v in values])
 d = make_domain("v", "Y(d)", [doc, "ClassAssert(Y d)"])
-print(repr(boe_encode(d, 0, (), value_properties(d)).values.tolist()))
+print(repr(encode_dataset(d, (), feature_space([d])[1])[0][0].tolist()))
 """
 
 
-def test_boe_encode_value_mean_ignores_the_hash_seed():
+def test_encode_dataset_value_mean_ignores_the_hash_seed():
     # the LSO's atoms are a set whose order follows PYTHONHASHSEED; with
     # these magnitudes a float sum in that order changes with the seed
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
@@ -148,17 +147,37 @@ def test_boe_encode_value_mean_ignores_the_hash_seed():
     assert encoded == {"[%r]\n" % ((1.0 + 3.0 + 0.1 + 7.0 + 2.5) / 7)}
 
 
-def test_boe_encode_refuses_inconsistent_lso():
+def test_encode_dataset_refuses_inconsistent_lso():
     docs = ["ClassAssert(A d)\nSameInd(a b)\nDiffInd(a b)"]
     d = make_domain("bad", "A(d)", docs)
     with pytest.raises(DataError, match="inconsistent"):
-        boe_encode(d, 0, build_vocabulary(_dom()))
+        encode_dataset(d, feature_space([_dom()])[0])
+
+
+def test_mining_and_encoding_refuse_an_inconsistent_lso_alike():
+    docs = LSOS + ["ClassAssert(Dep d)\nSameInd(a b)\nDiffInd(a b)"]
+    d = make_domain("bad", "Delayed(d)", docs, tbox=TBOX)
+    witness = d.lso_closures()[3].inconsistency_witness
+    assert witness
+    messages = []
+    for refuse in (
+        lambda: mine_roots(d, MiningParams(sigma=0.5, kappa=1, tau=0.5)),
+        lambda: encode_dataset(d, ()),
+        d.consistent_closures,
+    ):
+        with pytest.raises(DataError) as err:
+            refuse()
+        messages.append(str(err.value))
+    assert len(set(messages)) == 1
+    assert messages[0].startswith(
+        f"LSO 'lso-003' of domain bad is inconsistent ({witness})"
+    )
 
 
 def test_encode_dataset_shapes():
     d = _dom()
-    vocab = build_vocabulary(d)
-    X, y = encode_dataset(d, vocab, value_properties(d))
+    vocab, props = feature_space([d])
+    X, y = encode_dataset(d, vocab, props)
     assert X.shape == (3, len(vocab) + 1)
     assert y.tolist() == [1, 0, 1]
 

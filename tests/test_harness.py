@@ -378,6 +378,35 @@ def test_prepare_datasets_skips_hopeless_domains(caplog):
         prepare_datasets([bad, _signal_domain("bad2", [0] * 10)], FAST)
 
 
+def _skipped_domain(why):
+    """A domain ``prepare_datasets`` skips, with atoms no usable domain has."""
+    if why == "one-class":
+        return _signal_domain("zz", [1] * 10, marker="Kz")
+    docs = [
+        "ClassAssert(Kz d)\nRoleAssert(hasZ d z%d)" % i + ("\nClassAssert(P d)" if y else "")
+        for i, y in enumerate(LABELS)
+    ]
+    docs[0] += "\nSameInd(a b)\nDiffInd(a b)"
+    return make_domain("zz", "Y(d)", docs, tbox="SubClassOf(P Y)\n")
+
+
+@pytest.mark.parametrize("why", ["inconsistent", "one-class"])
+def test_a_skipped_domain_leaves_the_usable_domains_unchanged(why, caplog):
+    # the features, and so every transfer, come from the usable domains only
+    alone = prepare_datasets(_domains(), FAST)
+    with caplog.at_level(logging.WARNING, logger="transferlens.harness"):
+        joined = prepare_datasets(_domains() + [_skipped_domain(why)], FAST)
+    assert any("skipping domain zz" in r.message for r in caplog.records)
+    assert [d.id for d in joined] == [d.id for d in alone]
+    for a, b in zip(alone, joined):
+        assert a.x.shape == b.x.shape and (a.x == b.x).all(), a.id
+        assert (a.y == b.y).all() and list(a.train) == list(b.train)
+        assert list(a.test) == list(b.test)
+    assert fti_matrix(_domains() + [_skipped_domain(why)], FAST) == fti_matrix(
+        _domains(), FAST
+    )
+
+
 def test_matrix_matches_independent_pair_evaluation():
     domains = _domains()
     records, fti = fti_matrix(domains, FAST)

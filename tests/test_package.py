@@ -15,22 +15,21 @@ PUBLIC = {
     "Atomic", "AuditRecord", "ChangeRates", "ClassAssertion", "Conjunction",
     "CoreContext", "CoreContextScan", "Corpus", "DataError", "Entailment",
     "EntailmentClosure", "Equality", "EvidenceResult", "EvidenceSpace", "Existential",
-    "FactorKind", "FeatureVector", "FileKbAdapter", "Gci", "GeneralFactor",
-    "HttpKbAdapter", "Inequality", "KbEntity", "LearningDomain", "Lso", "MiningParams",
-    "Model", "Nominal", "NormalizedTBox", "Ontology", "OntologyError", "ParseError",
+    "FactorKind", "FileKbAdapter", "Gci", "GeneralFactor", "HttpKbAdapter",
+    "Inequality", "KbEntity", "LearningDomain", "Lso", "MiningParams", "Model",
+    "Nominal", "NormalizedTBox", "Ontology", "OntologyError", "ParseError",
     "ParticularNarrator", "Report", "RoleAssertion", "RoleChain", "RootSet",
     "SearchConfig", "SearchStats", "SignatureError", "SubRole", "SyncClusters",
     "TrainConfig", "TransferRecord", "UsageError", "VocabularyMapping", "auc",
-    "axioms_to_text", "boe_encode", "build_report", "build_vocabulary", "change_rates",
-    "change_rates_from_counts", "core_context_search", "correlative_reason", "dec",
-    "domain_annotation", "effective_subsets", "encode_dataset", "entails",
-    "evaluate_pair", "extract_axioms", "fast_extend", "frequent_entailments",
-    "fti_from_records", "fti_matrix", "import_external", "is_consistent", "load_corpus",
-    "materialize", "mine_roots", "normalize_tbox", "p_value", "parse_abox",
-    "parse_ontology", "parse_tbox", "pearson", "predict_proba", "prepare_datasets",
-    "records_from_csv", "records_to_csv", "render_result", "root_individuals",
-    "sort_results", "split_indices", "sync_clusters", "train_within", "transfer",
-    "value_properties",
+    "axioms_to_text", "build_report", "change_rates", "change_rates_from_counts",
+    "core_context_search", "correlative_reason", "dec", "domain_annotation",
+    "effective_subsets", "encode_dataset", "entails", "evaluate_pair", "extract_axioms",
+    "fast_extend", "feature_space", "frequent_entailments", "fti_from_records",
+    "fti_matrix", "import_external", "is_consistent", "load_corpus", "materialize",
+    "mine_roots", "normalize_tbox", "p_value", "parse_abox", "parse_ontology",
+    "parse_tbox", "pearson", "predict_proba", "prepare_datasets", "records_from_csv",
+    "records_to_csv", "render_result", "root_individuals", "sort_results",
+    "split_indices", "sync_clusters", "train_within", "transfer",
 }
 SUBMODULES = (
     "contexts", "corpus", "domain", "errors", "evidence", "harness", "kb", "mining",
@@ -39,7 +38,7 @@ SUBMODULES = (
 
 
 def test_every_public_name_resolves_lazily_and_through_star_import():
-    assert len(PUBLIC) == 89
+    assert len(PUBLIC) == 86
     assert set(transferlens.__all__) == PUBLIC
     assert PUBLIC <= set(dir(transferlens))
     star: dict = {}

@@ -179,15 +179,15 @@ for named_rhs in (False, True):
         print(json.dumps([
             named_rhs, seed, clo.inconsistent, clo.inconsistency_witness,
             sorted(sorted(g) for g in clo.merged), clo.to_lines(),
-            sorted(clo.class_atoms), sorted(clo.role_atoms),
+            sorted(clo.class_atoms), sorted(clo.role_atoms), clo.insertions,
         ]))
 """
 
 
 def test_closures_ignore_the_hash_seed():
-    # set iteration order follows PYTHONHASHSEED; a closure read off its
-    # fixpoint must not.  insertions is left out: it counts work, re-adds
-    # after merges included, and that still follows derivation order
+    # set iteration order follows PYTHONHASHSEED; a closure must not, nor
+    # its insertion count, which counts the re-adds after merges and so
+    # follows derivation order
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     procs = [
         subprocess.Popen(
