@@ -8,7 +8,9 @@ code that computes with them; each module that used one before it moved
 here still exports it.  ``PipelineConfig`` is the CLI's flat view: one
 field per tuning key, with the three sections built from it and the index
 weights checked as it is made, so every stage refuses every bad value
-before it reads the corpus, and without loading numpy.
+before it reads the corpus, and without loading numpy.  No default is
+written anywhere else: a library parameter named after a tuning key
+defaults to the field of its class here.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import TYPE_CHECKING
 
-from .config import check_train_frac
+from .config import TrainConfig, check_train_frac
 from .errors import DataError
 from .ontology import ABoxAxiom, NormalizedTBox
 from .reasoner import Entailment, EntailmentClosure, materialize
@@ -201,7 +201,9 @@ def encode_dataset(
 
 
 def split_indices(
-    domain: LearningDomain, train_frac: float = 0.8, seed: int = 0
+    domain: LearningDomain,
+    train_frac: float = TrainConfig.train_frac,
+    seed: int = TrainConfig.seed,
 ) -> tuple[list[int], list[int]]:
     """Train/test index split.
 

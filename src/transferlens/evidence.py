@@ -24,7 +24,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from .config import check_thresholds
+from .config import SearchConfig, check_thresholds
 from .domain import LearningDomain, membership_masks
 from .errors import DataError
 from .reasoner import Entailment
@@ -310,9 +310,9 @@ class EvidenceSpace:
     def build(
         domains: list[LearningDomain],
         fti: dict[tuple[str, str], float],
-        epsilon: float = 0.1,
-        alpha: float = 0.05,
-        n_min: int = 3,
+        epsilon: float = SearchConfig.epsilon,
+        alpha: float = SearchConfig.alpha,
+        n_min: int = SearchConfig.n_min,
     ) -> "EvidenceSpace":
         if len(domains) < 2:
             raise DataError("correlative reasoning needs at least two domains")
@@ -421,9 +421,9 @@ def correlative_reason(
     domains: list[LearningDomain],
     evidence: Evidence,
     fti: dict[tuple[str, str], float],
-    epsilon: float = 0.1,
-    alpha: float = 0.05,
-    n_min: int = 3,
+    epsilon: float = SearchConfig.epsilon,
+    alpha: float = SearchConfig.alpha,
+    n_min: int = SearchConfig.n_min,
 ) -> EvidenceResult:
     """Score one piece of evidence against one comparison set."""
     space = EvidenceSpace.build(domains, fti, epsilon=epsilon, alpha=alpha, n_min=n_min)

@@ -48,7 +48,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .config import TrainConfig, check_weights
+from .config import PipelineConfig, TrainConfig, check_weights
 from .domain import LearningDomain, encode_dataset, feature_space, split_indices
 from .errors import DataError
 
@@ -307,7 +307,9 @@ class TransferRecord:
     def fgi(self) -> float:
         return self.auc_soft - self.auc_base
 
-    def fti(self, omega1: float = 1.0, omega2: float = 1.0) -> float:
+    def fti(
+        self, omega1: float = PipelineConfig.omega1, omega2: float = PipelineConfig.omega2
+    ) -> float:
         check_weights(omega1, omega2)
         return (omega1 * self.fgi - omega2 * self.fsi) / (omega1 + omega2)
 
@@ -465,8 +467,8 @@ def _chunk_aucs(
 def fti_matrix(
     domains: list[LearningDomain],
     cfg: TrainConfig = TrainConfig(),
-    omega1: float = 1.0,
-    omega2: float = 1.0,
+    omega1: float = PipelineConfig.omega1,
+    omega2: float = PipelineConfig.omega2,
 ) -> tuple[list[TransferRecord], dict[tuple[str, str], float]]:
     """Transfer records and the fti cache over all usable ordered pairs.
 
@@ -505,7 +507,9 @@ def fti_matrix(
 
 
 def fti_from_records(
-    records: list[TransferRecord], omega1: float = 1.0, omega2: float = 1.0
+    records: list[TransferRecord],
+    omega1: float = PipelineConfig.omega1,
+    omega2: float = PipelineConfig.omega2,
 ) -> dict[tuple[str, str], float]:
     check_weights(omega1, omega2)
     return {(r.source, r.target): r.fti(omega1, omega2) for r in records}

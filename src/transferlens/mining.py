@@ -39,8 +39,8 @@ def _lso_masks(domain: LearningDomain) -> tuple[dict[Entailment, int], int]:
     return membership_masks(c.atoms() for c in closures), len(closures)
 
 
-def frequent_entailments(domain: LearningDomain, sigma: float) -> frozenset[Entailment]:
-    return _frequent(domain.target, *_lso_masks(domain), sigma)
+def frequent_entailments(domain: LearningDomain, params: MiningParams) -> frozenset[Entailment]:
+    return _frequent(domain.target, *_lso_masks(domain), params.sigma)
 
 
 def _frequent(target: Entailment, masks, n: int, sigma: float) -> frozenset[Entailment]:
@@ -48,11 +48,10 @@ def _frequent(target: Entailment, masks, n: int, sigma: float) -> frozenset[Enta
 
 
 def effective_subsets(
-    domain: LearningDomain, kappa: int, tau: float, kappa_cap: int = 2
+    domain: LearningDomain, params: MiningParams
 ) -> dict[frozenset[Entailment], tuple[float, float]]:
-    """Qualifying exactly-``kappa``-element subsets with their (r_e, r_i)."""
-    MiningParams(sigma=1.0, kappa=kappa, tau=tau, kappa_cap=kappa_cap)
-    return _effective(domain.target, *_lso_masks(domain), kappa, tau)
+    """Qualifying exactly-``params.kappa``-element subsets with their (r_e, r_i)."""
+    return _effective(domain.target, *_lso_masks(domain), params.kappa, params.tau)
 
 
 def _effective(

@@ -147,14 +147,13 @@ def build_report(
         "narrators": [(r, None) for r in sort_results(narrators)],
         "contexts": sorted(contexts, key=lambda rc: rank_key(rc[0])),
     }
-    lines: list[str] = []
-    lines.append("Transfer evidence report")
-    lines.append("========================")
-    lines.append("")
-    lines.append(
+    lines = [
+        "Transfer evidence report",
+        "========================",
+        "",
         f"Comparison set: {len(domain_ids)} domains "
-        f"({', '.join(domain_ids)}), {n_pairs} ordered pairs."
-    )
+        f"({', '.join(domain_ids)}), {n_pairs} ordered pairs.",
+    ]
     if fti:
         vals = sorted(fti.values())
         lines.append(
@@ -162,14 +161,8 @@ def build_report(
             f"min {vals[0]:.4f}, median {vals[len(vals) // 2]:.4f}, "
             f"max {vals[-1]:.4f}."
         )
-    lines.append("")
-
-    lines.append("General factors")
-    lines.append("---------------")
-    for res, _ in ranked["general"]:
-        lines.append(render_result(res))
-    if not general:
-        lines.append("(none scored)")
+    lines += ["", "General factors", "---------------"]
+    lines += [render_result(res) for res, _ in ranked["general"]] or ["(none scored)"]
     lines.append("")
 
     valid_narr = [rc for rc in ranked["narrators"] if rc[0].valid]

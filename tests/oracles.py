@@ -484,6 +484,15 @@ def p_value_quadrature(r: float, n: int) -> float:
     return float(2 * tail)
 
 
+def stirling_tail_mp(x: float) -> float:
+    """lgamma(x) minus ``(x - 1/2) log x - x + log(2 pi) / 2``, at 30 digits."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        x = mp.mpf(x)
+        return float(mp.loggamma(x) - ((x - 0.5) * mp.log(x) - x + mp.log(2 * mp.pi) / 2))
+
+
 def auc_by_pairs(scores, labels) -> float:
     """Mann-Whitney by literally comparing every positive/negative pair."""
     pos = [s for s, l in zip(scores, labels) if l == 1]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import re
 import shutil
 
 import pytest
@@ -135,6 +136,47 @@ def test_manifest_errors(tmp_path):
     mf.write_text("id = d1\ntarget = not an atom\n")
     with pytest.raises(DataError, match="bad target"):
         load_corpus(root)
+
+
+def test_layout_refusals_name_the_file_and_line(tmp_path):
+    # each refusal names the file or directory at fault, and the line when
+    # there is one
+    def refused(edit, pattern):
+        root = _write_corpus(tmp_path / f"c{len(list(tmp_path.iterdir()))}")
+        edit(root, root / "domains" / "d1")
+        with pytest.raises(DataError, match=pattern.format(root=re.escape(str(root)))):
+            load_corpus(root)
+
+    refused(
+        lambda root, dom: (dom / "manifest.txt").write_text("id = d1\n# note\ntarget A(x)\n"),
+        r"^{root}/domains/d1/manifest\.txt:3: expected 'key = value', got 'target A\(x\)'$",
+    )
+    refused(
+        lambda root, dom: (dom / "lsos" / "lso-000.ont").write_text(
+            "@ann fam left\n@ann dat\nClassAssert(A x)\n"
+        ),
+        r"^{root}/domains/d1/lsos/lso-000\.ont:2: expected '@ann key value'$",
+    )
+    refused(
+        lambda root, dom: (root / "constraints.ont").write_text("ClassAssert(A x)\n"),
+        r"^{root}/constraints\.ont: constraints must be TBox axioms$",
+    )
+    refused(
+        lambda root, dom: (dom / "manifest.txt").unlink(),
+        r"^{root}/domains/d1 has no manifest\.txt$",
+    )
+    refused(
+        lambda root, dom: shutil.rmtree(dom / "lsos"),
+        r"^{root}/domains/d1 has no lsos/ directory$",
+    )
+    refused(
+        lambda root, dom: (dom / "lsos" / "lso-000.ont").rename(dom / "lsos" / "lso-000.txt"),
+        r"^{root}/domains/d1/lsos holds no \.ont files$",
+    )
+    refused(
+        lambda root, dom: shutil.rmtree(dom),
+        r"^{root}/domains holds no domains$",
+    )
 
 
 def test_non_iso_dat_names_file_and_line(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from domfix import atom_domain
-from oracles import p_value_quadrature, pearson_exact
+from oracles import p_value_quadrature, pearson_exact, stirling_tail_mp
 from transferlens.errors import DataError
 from transferlens.evidence import (
     CoreContext,
@@ -15,6 +15,7 @@ from transferlens.evidence import (
     GeneralFactor,
     ParticularNarrator,
     _betainc,
+    _stirling_tail,
     change_rates,
     change_rates_from_counts,
     correlative_reason,
@@ -80,6 +81,10 @@ def test_change_rates_name_the_empty_side():
         change_rates_from_counts(0, 5, 1, 1, 1)
     with pytest.raises(DataError, match="target"):
         change_rates_from_counts(5, 0, 1, 1, 1)
+    # one atom on each side is enough; the count form divides the invariant
+    # count by the size sum
+    r = change_rates_from_counts(1, 1, 0, 0, 1)
+    assert (r.new, r.obsolete, r.invariant) == (0.0, 0.0, 0.5)
 
 
 def test_dec_is_containment_in_target():
@@ -87,6 +92,7 @@ def test_dec_is_containment_in_target():
     assert dec(both, _atoms("A", "B", "C")) == 1
     assert dec(both, _atoms("A", "C")) == 0
     assert dec(frozenset(), _atoms("A")) == 1
+    assert dec(both, both) == 1
 
 
 # -- pearson ------------------------------------------------------------------
@@ -164,6 +170,7 @@ def test_pearson_errors():
         pearson([1, 2, 3], [1, 2])
     with pytest.raises(DataError, match="at least 2"):
         pearson([1.0], [2.0])
+    assert pearson([0.0, 1.0], [3.0, 5.0]) == 1.0
     with pytest.raises(DataError, match="zero variance"):
         pearson([1, 1, 1], [1, 2, 3])
     with pytest.raises(DataError, match="zero variance"):
@@ -231,6 +238,12 @@ def test_p_value_agrees_with_scipy_betainc_at_the_same_x():
 def test_incomplete_beta_raises_rather_than_return_an_unconverged_value():
     with pytest.raises(DataError, match="did not converge"):
         _betainc(1e6, 1e6, 0.5)
+
+
+def test_stirling_tail_is_accurate_to_1e_15():
+    # its docstring's bound, from x = 10, where _log_beta starts to use it
+    for x in np.geomspace(10.0, 1e6, 501):
+        assert abs(_stirling_tail(float(x)) - stirling_tail_mp(x)) < 1e-15, x
 
 
 def test_p_value_monotone_in_strength_and_samples():
@@ -330,7 +343,9 @@ def test_insufficient_samples_reason():
     domains, fti, space = _space(n_min=3)
     # only d4 carries K3: 3 ordered pairs, meets n_min=3; raise n_min
     res = space.score(ParticularNarrator(Entailment.parse("K3(d)")))
-    assert res.n == 3
+    assert res.n == 3 and res.reason == "zero-variance"  # scored, not refused
+    k1 = ParticularNarrator(Entailment.parse("K1(d)"))
+    assert _space(n_min=6)[2].score(k1).gamma is not None
     _, _, strict = _space(n_min=4)
     res = strict.score(ParticularNarrator(Entailment.parse("K3(d)")))
     assert not res.valid and res.reason == "insufficient-samples"
@@ -363,6 +378,24 @@ def test_validity_thresholds():
         correlative_reason(
             domains, ParticularNarrator(Entailment.parse("K1(d)")), rigged, epsilon=1.01
         )
+
+
+def test_validity_holds_at_both_thresholds():
+    # a result whose own |gamma| is epsilon and whose own rho is alpha is
+    # valid; one ulp past either threshold is not
+    domains, fti, space = _space()
+    for evidence in (GeneralFactor(FactorKind.INV), ParticularNarrator(Entailment.parse("K1(d)"))):
+        res = space.score(evidence)
+        eps, alpha = abs(res.gamma), res.rho
+        assert res.gamma < 0 and not res.valid
+
+        def at(epsilon, alpha):
+            return correlative_reason(domains, evidence, fti, epsilon=epsilon, alpha=alpha)
+
+        edge = at(eps, alpha)
+        assert edge.valid and (edge.gamma, edge.rho) == (res.gamma, res.rho), evidence
+        assert not at(math.nextafter(eps, 1.0), alpha).valid, evidence
+        assert not at(eps, math.nextafter(alpha, 0.0)).valid, evidence
 
 
 def test_scores_ignore_the_order_of_the_pairs():

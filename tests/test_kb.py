@@ -266,6 +266,10 @@ class _Handler(BaseHTTPRequestHandler):
             body = "field\tvalue\nlabel\tLAX\ntype\tCivilAirport\niata\tLAX\n"
         elif self.path.startswith("/badheader/"):
             body = "wrong\theader\nAPT1\tLAX\n"
+        elif self.path.startswith("/badrow/"):
+            body = "entity\tlabel\nAPT1\tLAX\nSONG1\tLAX\textra\n"
+        elif self.path.startswith("/baddescribe/"):
+            body = "field\tvalue\nlabel\tLAX\ntype\n"
         else:
             self.send_error(404)
             return
@@ -324,6 +328,18 @@ def test_http_adapter_validates_headers_and_status(kb_server):
     )
     with pytest.raises(DataError, match="404"):
         missing.lookup("LAX")
+
+
+def test_http_adapter_refuses_malformed_rows(kb_server):
+    # the response has no file or line; the refusal quotes the row at fault
+    adapter = HttpKbAdapter(kb_server + "/badrow/{term}", kb_server + "/baddescribe/{entity}")
+    with pytest.raises(DataError, match=r"^malformed lookup row: \['SONG1', 'LAX', 'extra'\]$"):
+        adapter.lookup("LAX")
+    with pytest.raises(DataError, match=r"^malformed describe row: \['type'\]$"):
+        adapter.describe("APT1")
+    bad = HttpKbAdapter(kb_server + "/lookup/{term}", kb_server + "/badheader/{entity}")
+    with pytest.raises(DataError, match=r"^describe response must start with header field<TAB>value$"):
+        bad.describe("APT1")
 
 
 def test_http_adapter_wraps_connection_failures():

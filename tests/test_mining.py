@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import itertools
 
 import numpy as np
@@ -36,7 +37,7 @@ def test_frequent_matches_brute_force():
         d = _random_domain(seed)
         closures = _closure_sets(d)
         for sigma in (0.2, 0.5, 0.8, 1.0):
-            got = frequent_entailments(d, sigma)
+            got = frequent_entailments(d, MiningParams(sigma=sigma))
             want = frequent_brute(closures, d.target, sigma)
             assert got == want, f"seed {seed} sigma {sigma}"
 
@@ -46,11 +47,30 @@ def test_effective_matches_brute_force():
         d = _random_domain(seed)
         closures = _closure_sets(d)
         for kappa, tau in ((1, 0.4), (1, 0.8), (2, 0.5), (2, 0.9)):
-            got = effective_subsets(d, kappa, tau)
+            got = effective_subsets(d, MiningParams(kappa=kappa, tau=tau))
             want = effective_brute(closures, d.target, kappa, tau)
             assert set(got) == set(want), f"seed {seed} kappa {kappa} tau {tau}"
             for subset, scores in got.items():
                 assert scores == pytest.approx(want[subset], abs=1e-12)
+
+
+def test_r_e_is_zero_when_no_lso_entails_the_target():
+    d = atom_domain("untargeted", "Tgt(d)", [["A", "B"], ["A"], ["B", "C"]])
+    closures = _closure_sets(d)
+    for kappa in (1, 2):
+        got = effective_subsets(d, MiningParams(kappa=kappa, tau=0.0))
+        assert got == effective_brute(closures, d.target, kappa, 0.0)
+        assert got and all(r_e == 0.0 for r_e, _ in got.values())
+
+
+def test_mining_steps_take_a_domain_and_its_params():
+    # so no step scores a sigma, kappa or tau that MiningParams refuses
+    for step in (frequent_entailments, effective_subsets, mine_roots):
+        params = list(inspect.signature(step).parameters.values())
+        assert [(p.name, p.annotation, p.default) for p in params] == [
+            ("domain", "LearningDomain", inspect.Parameter.empty),
+            ("params", "MiningParams", inspect.Parameter.empty),
+        ], step.__name__
 
 
 def test_scores_are_anti_monotone_in_subset_growth():
@@ -97,11 +117,12 @@ def test_mine_roots_builds_one_mask_table(monkeypatch):
     real = mining._lso_masks
     monkeypatch.setattr(mining, "_lso_masks", lambda d: calls.append(d.id) or real(d))
     d = _random_domain(7)
-    rs = mine_roots(d, MiningParams(sigma=0.5, kappa=2, tau=0.5))
+    params = MiningParams(sigma=0.5, kappa=2, tau=0.5)
+    rs = mine_roots(d, params)
     assert calls == [d.id]
     # the same routes as the public functions, which build a table each
-    assert rs.frequent == frequent_entailments(d, 0.5)
-    assert rs.effective == effective_subsets(d, 2, 0.5)
+    assert rs.frequent == frequent_entailments(d, params)
+    assert rs.effective == effective_subsets(d, params)
     assert len(calls) == 3
 
 
@@ -138,12 +159,10 @@ def test_mining_refuses_inconsistent_lsos():
     d = make_domain(
         "bad", "Tgt(d)", ["ClassAssert(Tgt d)\nSameInd(a b)\nDiffInd(a b)"]
     )
-    with pytest.raises(DataError, match="inconsistent"):
-        mine_roots(d, MiningParams(sigma=0.5, kappa=1, tau=0.0))
-    with pytest.raises(DataError, match="inconsistent"):
-        frequent_entailments(d, 0.5)
-    with pytest.raises(DataError, match="inconsistent"):
-        effective_subsets(d, 1, 0.0)
+    params = MiningParams(sigma=0.5, kappa=1, tau=0.0)
+    for step in (mine_roots, frequent_entailments, effective_subsets):
+        with pytest.raises(DataError, match="inconsistent"):
+            step(d, params)
 
 
 def test_apriori_join_is_lossless_at_kappa_three():
@@ -151,6 +170,6 @@ def test_apriori_join_is_lossless_at_kappa_three():
     # exhaustive reference must agree even when the cap is lifted
     d = _random_domain(41, n_lsos=10, n_atoms=6)
     closures = _closure_sets(d)
-    got = effective_subsets(d, 3, 0.55, kappa_cap=3)
+    got = effective_subsets(d, MiningParams(kappa=3, tau=0.55, kappa_cap=3))
     want = effective_brute(closures, d.target, 3, 0.55)
     assert set(got) == set(want)

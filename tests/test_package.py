@@ -1,4 +1,6 @@
 import importlib
+import inspect
+from dataclasses import fields
 
 import pytest
 
@@ -71,3 +73,60 @@ def test_tuning_dataclasses_have_one_home():
     assert transferlens.harness.check_weights is transferlens.config.check_weights
     assert transferlens.cli.PipelineConfig is transferlens.config.PipelineConfig
     assert transferlens.MiningParams is transferlens.config.MiningParams
+
+
+# every tuning key's default, written here once and in the package only in
+# transferlens.config
+DEFAULTS = {
+    "sigma": 0.99, "kappa": 2, "tau": 0.49, "kappa_cap": 2,
+    "hidden": 16, "epochs": 200, "lr": 0.05, "batch_size": 16, "ensemble": 10,
+    "train_frac": 0.8, "seed": 0,
+    "max_dim": 4, "epsilon": 0.1, "alpha": 0.05, "n_min": 3,
+    "omega1": 1.0, "omega2": 1.0,
+}
+# the functions outside transferlens.config whose parameters default to a
+# tuning key's value
+LIBRARY_DEFAULTS = {
+    ("evidence", "EvidenceSpace.build"): {"epsilon", "alpha", "n_min"},
+    ("evidence", "correlative_reason"): {"epsilon", "alpha", "n_min"},
+    ("domain", "split_indices"): {"train_frac", "seed"},
+    ("harness", "TransferRecord.fti"): {"omega1", "omega2"},
+    ("harness", "fti_matrix"): {"omega1", "omega2"},
+    ("harness", "fti_from_records"): {"omega1", "omega2"},
+}
+
+
+def _typed(values: dict) -> dict:
+    return {key: (type(v), v) for key, v in values.items()}
+
+
+def test_every_tuning_default_is_the_config_default():
+    cfg = transferlens.config.PipelineConfig()
+    assert _typed({f.name: getattr(cfg, f.name) for f in fields(cfg)}) == _typed(DEFAULTS)
+
+
+def _functions(module):
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(value):
+            yield value
+        elif inspect.isclass(value):
+            for name in vars(value):
+                attr = getattr(value, name)
+                if inspect.isfunction(attr):
+                    yield attr
+
+
+def test_library_parameters_default_to_the_config():
+    found = {}
+    for name in SUBMODULES + ("cli", "selfcheck"):
+        module = importlib.import_module(f"transferlens.{name}")
+        for fn in _functions(module):
+            for p in inspect.signature(fn).parameters.values():
+                if p.name in DEFAULTS and p.default is not p.empty:
+                    assert (type(p.default), p.default) == _typed(DEFAULTS)[p.name], (
+                        f"{name}.{fn.__qualname__}({p.name}={p.default!r})"
+                    )
+                    found.setdefault((name, fn.__qualname__), set()).add(p.name)
+    assert found == LIBRARY_DEFAULTS

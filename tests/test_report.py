@@ -45,7 +45,9 @@ def test_render_narrator_and_context():
     assert "all of A(d) + B(d)" in line
     assert "stands for 3 synchronized contexts" in line
     # a representative standing only for itself gets no tail
-    assert "stands for" not in render_result(_res(ctx, 0.4), cover=1)
+    base = "Pairs where both domains entail all of A(d) + B(d) transfer better (γ=0.400, ρ=0.01, n=10)"
+    assert render_result(_res(ctx, 0.4), cover=1) == base + "."
+    assert render_result(_res(ctx, 0.4), cover=2) == base + "; stands for 2 synchronized contexts."
 
 
 def test_render_invalid_reasons():
@@ -60,10 +62,16 @@ def test_render_invalid_reasons():
         )
         assert line.startswith("No usable evidence from K(d):")
         assert phrase in line
-    # scored but below thresholds: the numbers are shown
-    weak = EvidenceResult(narr, 0.02, 0.9, 12, False, None)
-    assert "too weak or not significant" in render_result(weak)
-    assert "γ=0.020" in render_result(weak)
+    # a known code gives its text and an unknown one is shown as it is, even
+    # with a gamma; only a result scored but below thresholds shows its numbers
+    for reason, gamma, why in [
+        ("insufficient-samples", 0.3, "too few domain pairs"),
+        ("odd-code", 0.3, "odd-code"),
+        (None, 0.02, "association too weak or not significant (γ=0.020, ρ=0.9, n=12)"),
+        (None, None, "below thresholds"),
+    ]:
+        res = EvidenceResult(narr, gamma, None if gamma is None else 0.9, 12, False, reason)
+        assert render_result(res) == f"No usable evidence from K(d): {why}."
 
 
 def test_render_rejects_unknown_evidence():
@@ -134,6 +142,12 @@ def test_build_report_caps_text_but_not_json():
     # uncapped form lists everything
     rep_all = _toy_report(max_listed=None, n_narr=5)
     assert "more in the JSON form" not in rep_all.text
+    # by default the text lists 25
+    narrators = [_res(ParticularNarrator(_ent(f"N{i:02d}")), 0.5, 0.01, 2) for i in range(26)]
+    lines = build_report(["a", "b"], 2, {}, [], narrators, []).text.splitlines()
+    listed = [line for line in lines if line.startswith("Pairs where both domains entail N")]
+    assert len(listed) == 25
+    assert lines[lines.index(listed[-1]) + 1] == "... and 1 more in the JSON form."
 
 
 def test_build_report_json_shape():
