@@ -318,7 +318,7 @@ def cmd_report(args, cfg: PipelineConfig, outdir: Path) -> int:
     scan = core_context_search(domains, fti, cfg.search)
     space = scan.space
     rep = build_report(
-        [d.id for d in domains],
+        list(space.ids),
         n_pairs=len(space.pair_src),
         fti=fti,
         general=[space.score(GeneralFactor(k)) for k in FactorKind],

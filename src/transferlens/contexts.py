@@ -18,15 +18,16 @@ f(M) = sum of C(u(M), k) for k = 2..max_dim counts the contexts whose
 mask contains M, and g(M) = f(M) - sum of g(M') over the concepts M'
 strictly above M.
 
-The scan's result store holds the evidence space's shared result per key,
-a tuple of cluster indices in ascending order: with ``early_stop`` (the
-default) one key per concept, its generator; without it every cluster set
-of 1..``max_dim`` clusters, the exhaustive oracle.  Both are in sorted key
-order.  Concepts and covers are the same either way.
+The evidence space's per-mask store is the one store of results; the
+scan keeps only the concepts.  Without ``early_stop`` it also walks every
+cluster set of 1..``max_dim`` clusters, the exhaustive oracle, into
+``results``: the space's shared result per set, keyed by its cluster
+indices in ascending order, in sorted key order.  Concepts and covers are
+the same either way.
 
 ``concept_rows`` streams one row per concept that covers a context,
-``iter_contexts`` expands the store to concrete contexts (for small
-universes and tests), and ``lookup`` answers for any specific context.
+``iter_contexts`` scores every concrete context (for small universes and
+tests), and ``lookup`` answers for any specific context.
 """
 
 from __future__ import annotations
@@ -120,6 +121,7 @@ class CoreContextScan:
         self.space = space
         self.clusters = clusters
         self.cfg = cfg
+        # the exhaustive walk's store; empty with early_stop
         self.results: dict[tuple[int, ...], EvidenceResult] = {}
         # concept mask -> (least generator, cover), in breadth-first order
         self.concepts: dict[int, tuple[tuple[int, ...], int]] = {}
@@ -129,7 +131,8 @@ class CoreContextScan:
     # -- search ------------------------------------------------------------
 
     def run(self) -> "CoreContextScan":
-        """Build the concept lattice and its covers, then fill the store."""
+        """Build the concept lattice and its covers; without ``early_stop``,
+        also walk every cluster set into the store."""
         if self._ran:
             return self
         self._ran = True
@@ -159,18 +162,14 @@ class CoreContextScan:
             covers[mask] = sum(math.comb(held, k) for k in range(2, max_dim + 1)) - above
         self.concepts = {m: (gen, covers[m]) for m, gen in gens.items()}
 
-        score_mask = self.space.score_mask
-        if self.cfg.early_stop:
-            by_gen = sorted((gen, m) for m, gen in gens.items())
-            self.results = {gen: score_mask(m) for gen, m in by_gen}
-        else:
+        if not self.cfg.early_stop:
             self._walk()
         st = self.stats
         st.universe, st.clusters = u, n
         st.enumerable = sum(math.comb(u, k) for k in range(2, max_dim + 1))
-        st.evaluated = len(self.results)
+        st.evaluated = len(gens) if self.cfg.early_stop else len(self.results)
         st.covered = sum(covers.values())
-        st.valid = sum(g for m, g in covers.items() if score_mask(m).valid)
+        st.valid = sum(g for m, g in covers.items() if self.space.score_mask(m).valid)
         return self
 
     def _walk(self) -> None:
@@ -208,20 +207,15 @@ class CoreContextScan:
                 yield replace(self.space.score_mask(mask), evidence=context), cover
 
     def iter_contexts(self):
-        """Every concrete context of 2..max_dim entailments whose cluster set
-        the store holds, with that set's result: without ``early_stop``,
-        every enumerable context.  Combinatorial; meant for small universes
-        and equivalence tests."""
-        self.run()
-        of = self.clusters.of_entailment
+        """Every enumerable context of 2..max_dim entailments with its
+        result.  Combinatorial; meant for small universes and equivalence
+        tests."""
         for k in range(2, self.cfg.max_dim + 1):
             for atoms in itertools.combinations(self.clusters.universe, k):
-                res = self.results.get(tuple(sorted({of[g] for g in atoms})))
-                if res is not None:
-                    yield replace(res, evidence=CoreContext(frozenset(atoms)))
+                yield self.space.score(CoreContext(frozenset(atoms)))
 
     def lookup(self, atoms) -> EvidenceResult:
-        """Result for one specific context, whether or not the store holds it."""
+        """Result for one specific context."""
         atoms = frozenset(atoms)
         if not atoms:
             raise DataError("empty context")
@@ -240,5 +234,5 @@ def core_context_search(
     space = EvidenceSpace.build(
         domains, fti, epsilon=cfg.epsilon, alpha=cfg.alpha, n_min=cfg.n_min
     )
-    clusters = _cluster_closures(space.masks, {d.target for d in domains})
+    clusters = _cluster_closures(space.masks, {d.target for d in domains if d.id in space.ids})
     return CoreContextScan(space, clusters, cfg).run()

@@ -316,32 +316,29 @@ class EvidenceSpace:
     ) -> "EvidenceSpace":
         if len(domains) < 2:
             raise DataError("correlative reasoning needs at least two domains")
-        ids = tuple(d.id for d in domains)
+        ids = [d.id for d in domains]
         if len(set(ids)) != len(ids):
             raise DataError("duplicate domain ids in comparison set")
-        closures = tuple(d.entailment_closure() for d in domains)
-        src, dst, vals = [], [], []
-        for i in range(len(domains)):
-            for j in range(len(domains)):
-                if i == j:
-                    continue
-                v = fti.get((ids[i], ids[j]))
-                if v is not None:
-                    if not math.isfinite(v):
-                        raise DataError(
-                            f"transfer index of {ids[i]}->{ids[j]} is not finite: {v}"
-                        )
-                    src.append(i)
-                    dst.append(j)
-                    vals.append(float(v))
-        if not vals:
+        # the comparison set: the given domains that a measured pair joins
+        index = {d: i for i, d in enumerate(ids)}
+        pairs = sorted(
+            (index[s], index[t], v)
+            for (s, t), v in fti.items()
+            if s != t and s in index and t in index
+        )
+        if not pairs:
             raise DataError("transfer cache covers no ordered pair of the comparison set")
+        for i, j, v in pairs:
+            if not math.isfinite(v):
+                raise DataError(f"transfer index of {ids[i]}->{ids[j]} is not finite: {v}")
+        kept = sorted({i for i, _, _ in pairs} | {j for _, j, _ in pairs})
+        renumber = {i: k for k, i in enumerate(kept)}
         return EvidenceSpace(
-            ids=ids,
-            closures=closures,
-            pair_src=tuple(src),
-            pair_dst=tuple(dst),
-            fti_vec=tuple(vals),
+            ids=tuple(ids[i] for i in kept),
+            closures=tuple(domains[i].entailment_closure() for i in kept),
+            pair_src=tuple(renumber[i] for i, _, _ in pairs),
+            pair_dst=tuple(renumber[j] for _, j, _ in pairs),
+            fti_vec=tuple(v for _, _, v in pairs),
             epsilon=epsilon,
             alpha=alpha,
             n_min=n_min,

@@ -65,7 +65,6 @@ class FileKbAdapter:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._entities: list[KbEntity] = []
         self._by_id: dict[str, KbEntity] = {}
         for lineno, raw in enumerate(
             self.path.read_text().splitlines(), start=1
@@ -99,14 +98,13 @@ class FileKbAdapter:
                 types=tuple(filter(None, (s.strip() for s in types.split("|")))),
                 props=tuple(pairs),
             )
-            self._entities.append(entity)
             self._by_id[eid] = entity
 
     def lookup(self, term: str) -> list[str]:
         wanted = normalize_label(term)
         return [
             e.entity_id
-            for e in self._entities
+            for e in self._by_id.values()
             if any(normalize_label(lb) == wanted for lb in e.labels)
         ]
 

@@ -25,8 +25,6 @@ from .reasoner import Entailment
 
 @dataclass
 class RootSet:
-    domain_id: str
-    params: MiningParams
     frequent: frozenset[Entailment]
     effective: dict[frozenset[Entailment], tuple[float, float]]
     root_entailments: frozenset[Entailment]
@@ -106,8 +104,6 @@ def mine_roots(domain: LearningDomain, params: MiningParams) -> RootSet:
     eff = _effective(domain.target, masks, n, params.kappa, params.tau)
     roots = frozenset(freq) | frozenset(itertools.chain.from_iterable(eff))
     return RootSet(
-        domain_id=domain.id,
-        params=params,
         frequent=freq,
         effective=eff,
         root_entailments=roots,

@@ -118,17 +118,6 @@ class UnionFind:
         self.parent[absorbed] = kept
         return kept, absorbed
 
-    def groups(self) -> tuple[frozenset[str], ...]:
-        """Merged classes of size at least two."""
-        buckets: dict[str, set[str]] = {}
-        for x in self.parent:
-            buckets.setdefault(self.find(x), set()).add(x)
-        return tuple(
-            frozenset(members)
-            for root, members in sorted(buckets.items())
-            if len(members) > 1
-        )
-
 
 # ---------------------------------------------------------------------------
 # rule compilation and TBox classification
@@ -347,7 +336,6 @@ class EntailmentClosure:
     inconsistent: bool
     class_atoms: frozenset[tuple[str, str]]
     role_atoms: frozenset[tuple[str, str, str]]
-    merged: tuple[frozenset[str], ...]
     individuals: frozenset[str]
     insertions: int
     inconsistency_witness: str | None = None
@@ -356,6 +344,14 @@ class EntailmentClosure:
 
     def canonical(self, name: str) -> str:
         return self._canon.get(name, name)
+
+    @property
+    def merged(self) -> tuple[frozenset[str], ...]:
+        """Merged classes of size at least two, by canonical name."""
+        groups: dict[str, set[str]] = {}
+        for name, root in self._canon.items():
+            groups.setdefault(root, {root}).add(name)
+        return tuple(frozenset(groups[root]) for root in sorted(groups))
 
     def atoms(self) -> frozenset[Entailment]:
         """Public atoms: no nominal markers and no internal keys.
@@ -564,7 +560,6 @@ def materialize(tbox, abox) -> EntailmentClosure:
         inconsistent=witness is not None,
         class_atoms=frozenset(class_atoms),
         role_atoms=frozenset(role_atoms),
-        merged=uf.groups(),
         individuals=individuals,
         insertions=insertions,
         inconsistency_witness=witness,

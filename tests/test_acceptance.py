@@ -220,11 +220,12 @@ def _valid_masks(full, fast):
     sets = {
         set_mask(clusters, key): _result_key(res) for key, res in full.results.items() if res.valid
     }
-    concepts = {
-        mask: _result_key(fast.results[gen])
-        for mask, (gen, _) in fast.concepts.items()
-        if fast.results[gen].valid
-    }
+    concepts = {}
+    for mask, (gen, _) in fast.concepts.items():
+        res = fast.space.score_mask(mask)
+        assert _result_key(res) == _result_key(full.results[gen])
+        if res.valid:
+            concepts[mask] = _result_key(res)
     return sets, concepts
 
 

@@ -441,6 +441,40 @@ def test_report_and_explain_reject_unknown_domains(corpus_dir, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_a_domain_without_transfer_results_leaves_the_report_unchanged(tmp_path, capsys):
+    # Z1's LSOs never entail the target, so fti skips it for having one
+    # class and auc.csv names no pair of it; report and explain must then
+    # compare the other eight domains exactly as without it
+    from test_golden import GOLDEN as golden, regen
+
+    corpus = tmp_path / "corpus"
+    shutil.copytree(MINI_FLIGHTS, corpus)
+    lsos = corpus / "domains" / "Z1" / "lsos"
+    lsos.mkdir(parents=True)
+    (lsos.parent / "manifest.txt").write_text("id = Z1\ntarget = DelayedDep(d)\n")
+    for i in range(10):
+        (lsos / f"lso-00{i}.ont").write_text(f"ClassAssert(Departure d)\nRoleAssert(hasZ d z{i})\n")
+    regen.run_stages(corpus, golden / "auc.csv", tmp_path / "z1")
+
+    got, want = tmp_path / "z1", golden
+    same = ["stdout/report.stdout", "out/report.json", "out/report.txt"]
+    same += [f"out/evidence/{t}.tsv" for t in ("general", "narrators", "contexts")]
+    for sub in ("closures", "roots", "external"):
+        names = sorted(p.name for p in (want / "out" / sub).iterdir())
+        assert names and not any(n.startswith("Z1") for n in names)
+        same += [f"out/{sub}/{n}" for n in names]
+    for rel in same:
+        assert (got / rel).read_bytes() == (want / rel).read_bytes(), rel
+
+    def explain(corpus_path, outdir):
+        argv = ["explain", "--corpus", str(corpus_path), "--outdir", str(outdir)]
+        assert main(argv + ["--auc-csv", str(golden / "auc.csv"), "--evidence", "d_obs"]) == 0
+        return capsys.readouterr().out
+
+    capsys.readouterr()
+    assert explain(corpus, got / "out") == explain(MINI_FLIGHTS, want / "out")
+
+
 def test_explain_validates_thresholds_as_report_does(corpus_dir, tmp_path, capsys):
     csv = tmp_path / "measured.csv"
     csv.write_text(

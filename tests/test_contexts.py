@@ -250,15 +250,16 @@ def test_store_is_keyed_by_index_tuple_in_walk_order(stop):
         cfg = SearchConfig(max_dim=4, alpha=0.4, early_stop=stop)
         scan = CoreContextScan(space, clusters, cfg).run()
         keys = list(scan.results)
+        if stop:  # no store; each concept keeps its generator, keyed alike
+            assert keys == [], f"seed {seed}"
+            keys = sorted(gen for gen, _ in scan.concepts.values())
+        else:
+            assert len(keys) == exhaustive_count(clusters, cfg.max_dim)
         for key in keys:
             assert type(key) is tuple, f"seed {seed}: {key!r}"
             assert all(type(i) is int for i in key)
             assert all(a < b for a, b in zip(key, key[1:])), f"seed {seed}: {key}"
         assert keys == sorted(keys), f"seed {seed}"
-        if stop:  # one key per concept, its generator
-            assert keys == sorted(gen for gen, _ in scan.concepts.values())
-        else:
-            assert len(keys) == exhaustive_count(clusters, cfg.max_dim)
 
 
 @pytest.mark.parametrize("stop", [False, True])
@@ -270,17 +271,19 @@ def test_stats_rebuild_from_the_store(stop):
         scan = CoreContextScan(space, clusters, cfg).run()
         smaller |= scan.stats.evaluated < exhaustive_count(clusters, cfg.max_dim)
         covered = valid = 0
-        if stop:  # a concept's cover, valid when its generator's result is
-            for gen, cover in scan.concepts.values():
+        if stop:  # a concept's cover, valid when its mask's result is
+            for mask, (_, cover) in scan.concepts.items():
                 covered += cover
-                valid += cover if scan.results[gen].valid else 0
+                valid += cover if space.score_mask(mask).valid else 0
+            stored = len(scan.concepts)
         else:  # each cluster set's concrete contexts
             for key, res in scan.results.items():
                 cover = expansions([len(clusters.clusters[i]) for i in key], cfg.max_dim)
                 covered += cover
                 valid += cover if res.valid else 0
+            stored = len(scan.results)
         st = scan.stats
-        assert (covered, valid, len(scan.results)) == (st.covered, st.valid, st.evaluated), seed
+        assert (covered, valid, stored) == (st.covered, st.valid, st.evaluated), seed
         assert st.covered == st.enumerable, seed
     assert smaller == stop, "fixtures must store fewer keys exactly when early stop is on"
 
@@ -361,6 +364,25 @@ def test_lattice_equals_exhaustive_grouping_by_mask():
     assert total_valid > 0, "fixtures hold no valid context"
 
 
+def test_default_scan_yields_the_exhaustive_contexts():
+    # two spaces from the same fixture, so no result object is shared
+    for k, ((space, clusters), (space2, clusters2)) in enumerate(
+        zip(all_fixtures(), all_fixtures())
+    ):
+        fast = CoreContextScan(space, clusters, SearchConfig(max_dim=4, alpha=space.alpha)).run()
+        cfg_off = SearchConfig(max_dim=4, alpha=space.alpha, early_stop=False)
+        full = CoreContextScan(space2, clusters2, cfg_off).run()
+
+        def rows(scan):
+            return Counter(
+                (r.evidence, r.gamma, r.rho, r.n, r.valid, r.reason) for r in scan.iter_contexts()
+            )
+
+        got, want = rows(fast), rows(full)
+        assert got == want, f"fixture {k}"
+        assert sum(want.values()) == fast.stats.enumerable, f"fixture {k}"
+
+
 def test_early_stop_prunes_but_never_lies():
     smaller = False
     total_valid = 0
@@ -373,9 +395,10 @@ def test_early_stop_prunes_but_never_lies():
         assert fast.stats.evaluated == len(fast.concepts)
         smaller |= fast.stats.evaluated < full.stats.evaluated
 
-        # whatever the concept scan stores is exactly what the full scan has
-        for key, res in fast.results.items():
-            assert _result_key(res) == _result_key(full.results[key])
+        # each concept's result is exactly what the full scan has for its generator
+        assert fast.results == {}
+        for mask, (gen, _) in fast.concepts.items():
+            assert _result_key(space.score_mask(mask)) == _result_key(full.results[gen])
         # and each valid cluster set's mask is a valid concept of the same result
         valid = {
             set_mask(clusters, key): _result_key(res)
@@ -383,9 +406,9 @@ def test_early_stop_prunes_but_never_lies():
             if res.valid
         }
         held = {
-            mask: _result_key(fast.results[gen])
-            for mask, (gen, _) in fast.concepts.items()
-            if fast.results[gen].valid
+            mask: _result_key(space.score_mask(mask))
+            for mask in fast.concepts
+            if space.score_mask(mask).valid
         }
         assert held == valid, f"fixture {k}"
         assert fast.stats.valid == full.stats.valid, f"fixture {k}"

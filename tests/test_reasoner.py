@@ -485,7 +485,10 @@ def test_union_find_canonicals():
     assert uf.find("zeta") == "mid"
     uf.union("mid", "alpha")
     assert uf.find("zeta") == "alpha"
-    assert uf.groups() == (frozenset({"alpha", "mid", "zeta"}),)
+    # the same chain closed by materialize: one group, under its least name
+    clo = _closure("SameInd(zeta mid)\nSameInd(mid alpha)\n")
+    assert clo.merged == (frozenset({"alpha", "mid", "zeta"}),)
+    assert clo.canonical("zeta") == clo.canonical("mid") == "alpha"
 
 
 def test_entailment_atom_parsing():
