@@ -234,5 +234,5 @@ def core_context_search(
     space = EvidenceSpace.build(
         domains, fti, epsilon=cfg.epsilon, alpha=cfg.alpha, n_min=cfg.n_min
     )
-    clusters = _cluster_closures(space.masks, {d.target for d in domains if d.id in space.ids})
+    clusters = _cluster_closures(space.masks, space.targets)
     return CoreContextScan(space, clusters, cfg).run()

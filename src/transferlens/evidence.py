@@ -297,6 +297,8 @@ class EvidenceSpace:
     epsilon: float
     alpha: float
     n_min: int
+    # the kept domains' target entailments, which no core context may hold
+    targets: frozenset[Entailment] = frozenset()
 
     def __post_init__(self):
         check_thresholds(self.epsilon, self.alpha, self.n_min)
@@ -342,6 +344,7 @@ class EvidenceSpace:
             epsilon=epsilon,
             alpha=alpha,
             n_min=n_min,
+            targets=frozenset(domains[i].target for i in kept),
         )
 
     def membership(self, atoms) -> int:

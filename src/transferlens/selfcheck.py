@@ -202,12 +202,15 @@ def _check_search_cover():
         for _ in itertools.combinations(range(u), k)
     )
     _check(len(expanded) == want, f"{len(expanded)} contexts expanded, {want} expected")
-    one = expanded[0]
-    again = scan.lookup(one.evidence.entailments)
-    _check(
-        (again.gamma, again.rho, again.n) == (one.gamma, one.rho, one.n),
-        "lookup disagrees with the scan",
-    )
+    of = scan.clusters.of_entailment
+    for one in expanded:
+        stored = scan.results.get(tuple(sorted({of[g] for g in one.evidence.entailments})))
+        again = scan.lookup(one.evidence.entailments)
+        _check(
+            stored is not None
+            and (again.gamma, again.rho, again.n) == (stored.gamma, stored.rho, stored.n),
+            "lookup disagrees with the scan's store",
+        )
 
 
 CHECKS = [

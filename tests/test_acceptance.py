@@ -19,7 +19,7 @@ import pytest
 from conftest import MINI_FLIGHTS
 from genont import random_instance
 from oracles import naive_closure, p_value_quadrature, pearson_exact
-from test_contexts import _result_key, exhaustive_contexts, set_mask, synth_space
+from test_contexts import _result_key, exhaustive_contexts, set_mask, store_contexts, synth_space
 from test_reasoner import FLIGHT_ATOMS, FLIGHT_DOC
 from transferlens.cli import main
 from transferlens.contexts import (
@@ -237,7 +237,7 @@ def test_c5_pruned_search_equals_exhaustive():
         cfg = SearchConfig(max_dim=4, early_stop=False)
         scan = CoreContextScan(space, clusters, cfg).run()
         got, expanded = {}, Counter()
-        for res in scan.iter_contexts():
+        for res in store_contexts(scan):
             key = res.evidence.entailments
             assert key not in got, f"seed {seed}: duplicate {key}"
             got[key] = _result_key(res)

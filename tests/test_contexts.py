@@ -5,6 +5,7 @@ import itertools
 import math
 import operator
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +78,16 @@ def exhaustive_contexts(space, clusters, max_dim):
                 CoreContext(atoms), direct_membership(space, atoms)
             )
     return out
+
+
+def store_contexts(scan):
+    """The exhaustive walk's store expanded to concrete contexts: each
+    context of 2..max_dim entailments with its cluster set's stored result."""
+    of = scan.clusters.of_entailment
+    for k in range(2, scan.cfg.max_dim + 1):
+        for atoms in itertools.combinations(scan.clusters.universe, k):
+            res = scan.results[tuple(sorted({of[g] for g in atoms}))]
+            yield replace(res, evidence=CoreContext(frozenset(atoms)))
 
 
 def _result_key(res: EvidenceResult):
@@ -216,15 +227,22 @@ def test_pruned_search_equals_exhaustive_enumeration():
         space, clusters = synth_space(seed)
         cfg = SearchConfig(max_dim=4, early_stop=False)
         scan = CoreContextScan(space, clusters, cfg).run()
-        got = {}
-        for res in scan.iter_contexts():
-            key = res.evidence.entailments
-            assert key not in got, f"seed {seed}: duplicate context {key}"
-            got[key] = _result_key(res)
+        fast = CoreContextScan(space, clusters, SearchConfig(max_dim=4)).run()
         want = exhaustive_contexts(space, clusters, cfg.max_dim)
-        assert got.keys() == want.keys(), f"seed {seed}"
-        for key in want:
-            assert got[key] == _result_key(want[key]), f"seed {seed}: {key}"
+        cases = {
+            "store": store_contexts(scan),
+            "exhaustive scan": scan.iter_contexts(),
+            "default scan": fast.iter_contexts(),
+        }
+        for how, rows in cases.items():
+            got = {}
+            for res in rows:
+                key = res.evidence.entailments
+                assert key not in got, f"seed {seed}, {how}: duplicate context {key}"
+                got[key] = _result_key(res)
+            assert got.keys() == want.keys(), f"seed {seed}, {how}"
+            for key in want:
+                assert got[key] == _result_key(want[key]), f"seed {seed}, {how}: {key}"
 
 
 def test_stats_account_for_every_context():
@@ -238,8 +256,8 @@ def test_stats_account_for_every_context():
     assert scan.stats.evaluated == sum(math.comb(n, k) for k in range(1, 5))
     assert scan.stats.evaluated == len(scan.results)
     assert scan.stats.covered == scan.stats.enumerable
-    assert sum(1 for r in scan.iter_contexts()) == scan.stats.covered
-    assert scan.stats.valid == sum(1 for r in scan.iter_contexts() if r.valid)
+    assert sum(1 for r in store_contexts(scan)) == scan.stats.covered
+    assert scan.stats.valid == sum(1 for r in store_contexts(scan) if r.valid)
 
 
 @pytest.mark.parametrize("stop", [False, True])
@@ -346,7 +364,7 @@ def test_lattice_equals_exhaustive_grouping_by_mask():
             lattice = CoreContextScan(
                 space, clusters, SearchConfig(max_dim=max_dim, alpha=space.alpha)
             ).run()
-            counts = Counter(space.membership(r.evidence.entailments) for r in full.iter_contexts())
+            counts = Counter(space.membership(r.evidence.entailments) for r in store_contexts(full))
             first: dict[int, tuple[int, ...]] = {}
             for key in full.results:  # sorted key order
                 mask = set_mask(clusters, key)
@@ -362,25 +380,6 @@ def test_lattice_equals_exhaustive_grouping_by_mask():
             assert lattice.stats.covered == lattice.stats.enumerable == len(brute), where
             total_valid += valid
     assert total_valid > 0, "fixtures hold no valid context"
-
-
-def test_default_scan_yields_the_exhaustive_contexts():
-    # two spaces from the same fixture, so no result object is shared
-    for k, ((space, clusters), (space2, clusters2)) in enumerate(
-        zip(all_fixtures(), all_fixtures())
-    ):
-        fast = CoreContextScan(space, clusters, SearchConfig(max_dim=4, alpha=space.alpha)).run()
-        cfg_off = SearchConfig(max_dim=4, alpha=space.alpha, early_stop=False)
-        full = CoreContextScan(space2, clusters2, cfg_off).run()
-
-        def rows(scan):
-            return Counter(
-                (r.evidence, r.gamma, r.rho, r.n, r.valid, r.reason) for r in scan.iter_contexts()
-            )
-
-        got, want = rows(fast), rows(full)
-        assert got == want, f"fixture {k}"
-        assert sum(want.values()) == fast.stats.enumerable, f"fixture {k}"
 
 
 def test_early_stop_prunes_but_never_lies():
