@@ -20,7 +20,12 @@ Every model is a stack of S sources by E seeds, and every fit, transfer
 and prediction takes and gives one.  ``_fit`` is the one trainer: it steps
 a stack in place with one batched product per layer per minibatch, and
 ``predict_proba`` scores a stack in one batched forward pass; each slot is
-bit-identical to its network fit and scored alone.  ``fti_matrix`` fits
+bit-identical to its network fit and scored alone.  A fit trains only the
+active columns, those whose standardized training values are not all 0.0,
+and leaves the other rows of ``w1`` as they were; a hard fit computes its
+frozen hidden layer once.  Both rules drop only exact zeros, and the
+per-network oracle of the tests follows them too, so each slot stays
+``==`` to it.  ``fti_matrix`` fits
 each domain's ensemble as one ``train_within`` stack (S = 1) and each
 destination's hard or soft transfers as one ``transfer`` stack over all
 other domains' ensembles; ``evaluate_pair`` fits every model as its own
@@ -112,25 +117,52 @@ def _fit(
 
     Seed k's generator draws the permutation of every epoch for slot
     ``(s, k)`` of all S sources, so each minibatch is one ``(E, b, d)``
-    gather the sources share by broadcasting.  Every product is a batch of
-    the 2-D products one network alone would make, and every other step is
-    elementwise or a reduction along the same axis, so each slot is
-    bit-identical to fitting its network alone.
+    gather the sources share by broadcasting.
+
+    Only the active columns train: those whose standardized training
+    values are not all 0.0.  An inactive column adds exact zeros to every
+    product and gradient, so the fit runs on ``xs[:, active]`` and
+    ``w1[..., active, :]`` and writes the result back into ``w1``; the
+    other rows of ``w1`` keep their values, which ``predict_proba`` reads
+    on rows where those columns are nonzero.  A hard fit
+    (``train_features`` false) never changes ``w1`` or ``b1``, so it
+    computes its frozen hidden layer on all n rows once and gathers each
+    minibatch from it.
+
+    Every product is a batch of the 2-D products one network alone would
+    make under these two rules, and every other step is elementwise or a
+    reduction along the same axis, so each slot is bit-identical to
+    fitting its network alone.
     """
     import numpy as np
     from scipy.special import expit
 
     n = len(y)
     xs = (x - stack.mu) / stack.sigma
-    w1, b1, w2, b2 = stack.w1, stack.b1, stack.w2, stack.b2
-    gw1 = np.empty_like(w1) if train_features else None
+    active = np.flatnonzero((xs != 0.0).any(axis=0))
+    # take, unlike an index array, gives C-contiguous copies: a product
+    # over another layout may leave BLAS or add in another order
+    xs = xs.take(active, axis=1)
+    w1, b1, w2, b2 = stack.w1.take(active, axis=-2), stack.b1, stack.w2, stack.b2
+    if train_features:
+        gw1 = np.empty_like(w1)
+    else:
+        frozen = np.maximum(xs @ w1 + b1[..., None, :], 0.0)
+        # an index on every stack axis makes each gather one C-contiguous
+        # (S, E, b, h) block; with a slice there, numpy lays the sources
+        # axis out next to h
+        source = np.arange(w1.shape[0])[:, None, None]
+        seat = np.arange(w1.shape[1])[:, None]
     for _ in range(cfg.epochs):
         order = np.stack([rng.permutation(n) for rng in rngs])
         for lo in range(0, n, cfg.batch_size):
             idx = order[:, lo : lo + cfg.batch_size]
-            xb = xs[idx]
-            z1 = xb @ w1 + b1[..., None, :]
-            a1 = np.maximum(z1, 0.0)
+            if train_features:
+                xb = xs[idx]
+                z1 = xb @ w1 + b1[..., None, :]
+                a1 = np.maximum(z1, 0.0)
+            else:
+                a1 = frozen[source, seat, idx]
             p = expit((a1 @ w2[..., None])[..., 0] + b2[..., None])
             dz2 = (p - y[idx]) / idx.shape[1]
             gw2 = (a1.swapaxes(-1, -2) @ dz2[..., None])[..., 0]
@@ -143,6 +175,8 @@ def _fit(
                 b1 -= cfg.lr * dz1.sum(axis=-2)
             w2 -= cfg.lr * gw2
             b2 -= cfg.lr * gb2
+    if train_features:
+        stack.w1[..., active, :] = w1
     return stack
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from transferlens.errors import DataError
-from transferlens.harness import TrainConfig
+from transferlens.config import TrainConfig
 from transferlens.ontology import (
     Atomic,
     Bottom,
@@ -551,9 +551,15 @@ def effective_brute(closures, target, kappa, tau):
 
 # -- the per-model trainer ------------------------------------------------------
 #
-# The harness trainer as it was before model stacks: one network, 2-D
-# products, each minibatch standardized on its own.  The code below is
-# copied unchanged, so the stacked trainer is held to it with ==.
+# One network at a time, in 2-D products.  ``_fit_dense`` is the harness
+# trainer as it was before model stacks, copied unchanged: every column of
+# every minibatch, each minibatch standardized on its own.  ``_fit`` is
+# the same descent under the harness's two rules, written here without its
+# code: a column whose standardized training values are all 0.0 adds exact
+# zeros, so only the other columns enter the products, and a frozen hidden
+# layer is computed on all rows once.  The rules change which 2-D products
+# BLAS is handed, so the stacked trainer is held to ``_fit`` with ==, and
+# to ``_fit_dense`` within a tolerance its test states.
 
 
 @dataclass
@@ -584,7 +590,7 @@ def predict_proba(model: Model, x: np.ndarray) -> np.ndarray:
     return _forward(model, np.asarray(x, dtype=np.float64))[3]
 
 
-def _fit(
+def _fit_dense(
     model: Model,
     x: np.ndarray,
     y: np.ndarray,
@@ -610,6 +616,44 @@ def _fit(
     return model
 
 
+def _fit(
+    model: Model,
+    x: np.ndarray,
+    y: np.ndarray,
+    cfg: TrainConfig,
+    rng: np.random.Generator,
+    train_features: bool,
+) -> Model:
+    xs = (x - model.mu) / model.sigma
+    live = [j for j in range(xs.shape[1]) if not np.all(xs[:, j] == 0.0)]
+    xs = np.ascontiguousarray(xs[:, live])  # the index leaves it column-major
+    w1 = model.w1[live]
+    if not train_features:
+        hidden = np.maximum(xs @ w1 + model.b1, 0.0)
+    n = len(y)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            if train_features:
+                z1 = xs[idx] @ w1 + model.b1
+                a1 = np.maximum(z1, 0.0)
+            else:
+                a1 = hidden[idx]
+            p = expit(a1 @ model.w2 + model.b2)
+            dz2 = (p - y[idx]) / len(idx)
+            gw2 = a1.T @ dz2
+            gb2 = dz2.sum()
+            if train_features:
+                dz1 = np.outer(dz2, model.w2) * (z1 > 0)
+                w1 -= cfg.lr * (xs[idx].T @ dz1)
+                model.b1 -= cfg.lr * dz1.sum(axis=0)
+            model.w2 -= cfg.lr * gw2
+            model.b2 -= cfg.lr * gb2
+    model.w1[live] = w1
+    return model
+
+
 def _standardize_params(x: np.ndarray):
     mu = x.mean(axis=0)
     sigma = x.std(axis=0)
@@ -622,9 +666,9 @@ def _fresh_head(d_hidden: int, rng: np.random.Generator):
 
 
 def train_within(
-    x: np.ndarray, y: np.ndarray, cfg: TrainConfig, seed: int
+    x: np.ndarray, y: np.ndarray, cfg: TrainConfig, seed: int, dense: bool = False
 ) -> Model:
-    """Fit a fresh model on one training split."""
+    """Fit a fresh model on one training split (``dense``: with ``_fit_dense``)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_classes(y, "training split")
@@ -640,7 +684,8 @@ def train_within(
         w2=w2,
         b2=b2,
     )
-    return _fit(model, x, y, cfg, rng, train_features=True)
+    fit = _fit_dense if dense else _fit
+    return fit(model, x, y, cfg, rng, train_features=True)
 
 
 def transfer(
@@ -650,8 +695,10 @@ def transfer(
     cfg: TrainConfig,
     seed: int,
     mode: str,
+    dense: bool = False,
 ) -> Model:
-    """Adapt a source model to a new training split.
+    """Adapt a source model to a new training split (``dense``: with
+    ``_fit_dense``).
 
     ``hard`` keeps the source feature block frozen and fits only a fresh
     head; ``soft`` starts from the whole source model and fits everything.
@@ -676,5 +723,6 @@ def transfer(
         w2, b2 = source.w2.copy(), float(source.b2)
     mu, sigma = _standardize_params(x)
     model = Model(mu, sigma, source.w1.copy(), source.b1.copy(), w2, b2)
-    return _fit(model, x, y, cfg, rng, train_features=mode == "soft")
+    fit = _fit_dense if dense else _fit
+    return fit(model, x, y, cfg, rng, train_features=mode == "soft")
 

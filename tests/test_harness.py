@@ -243,22 +243,29 @@ def _xy(rng, n, d):
     return x, y
 
 
-@pytest.mark.parametrize(
-    "n, d, hidden, batch_size, ensemble, n_sources",
-    [
-        (23, 5, 4, 7, 3, 3),  # n not a multiple of b
-        (9, 3, 4, 16, 1, 1),  # b > n
-        (20, 4, 1, 8, 3, 1),  # hidden 1
-        (17, 1, 5, 4, 1, 3),  # d = 1, and a last batch of one row
-        (52, 121, 16, 16, 3, 3),  # the mini_flights shape
-        (31, 99, 8, 16, 10, 7),  # the default ensemble over seven sources
-    ],
-)
-def test_stacked_trainer_equals_the_per_model_oracle(n, d, hidden, batch_size, ensemble, n_sources):
-    cfg = TrainConfig(hidden=hidden, epochs=4, lr=0.1, batch_size=batch_size, ensemble=ensemble, seed=2)
+_SHAPES = [
+    (23, 5, 4, 7, 3, 3),  # n not a multiple of b
+    (9, 3, 4, 16, 1, 1),  # b > n
+    (20, 4, 1, 8, 3, 1),  # hidden 1
+    (17, 1, 5, 4, 1, 3),  # d = 1, and a last batch of one row
+    (52, 121, 16, 16, 3, 3),  # the mini_flights shape
+    (31, 99, 8, 16, 10, 7),  # the default ensemble over seven sources
+]
+
+
+def _oracle_case(n, d, hidden, batch_size, ensemble, n_sources, epochs=4):
+    """Config, seeds, source splits, destination split and test rows."""
+    cfg = TrainConfig(hidden=hidden, epochs=epochs, lr=0.1, batch_size=batch_size, ensemble=ensemble, seed=2)
     seeds = [cfg.seed + k for k in range(ensemble)]
     rng = np.random.default_rng(n * d)
     splits = [_xy(rng, n + s, d) for s in range(n_sources)]
+    xd, yd = _xy(rng, n, d)
+    return cfg, seeds, splits, xd, yd, rng.normal(size=(7, d))
+
+
+@pytest.mark.parametrize("n, d, hidden, batch_size, ensemble, n_sources", _SHAPES)
+def test_stacked_trainer_equals_the_per_model_oracle(n, d, hidden, batch_size, ensemble, n_sources):
+    cfg, seeds, splits, xd, yd, xt = _oracle_case(n, d, hidden, batch_size, ensemble, n_sources)
     stacks, refs = [], []
     for x, y in splits:
         stack = train_within(x, y, cfg, seeds)
@@ -268,8 +275,6 @@ def test_stacked_trainer_equals_the_per_model_oracle(n, d, hidden, batch_size, e
             _same_model(train_within(x, y, cfg, [seed]), 0, 0, ref[k])
         stacks.append(stack)
         refs.append(ref)
-    xd, yd = _xy(rng, n, d)
-    xt = rng.normal(size=(7, d))
     for mode in ("hard", "soft"):
         stack = transfer(stacks, xd, yd, cfg, seeds, mode)
         assert stack.w1.shape == (n_sources, ensemble, d, hidden)
@@ -282,6 +287,115 @@ def test_stacked_trainer_equals_the_per_model_oracle(n, d, hidden, batch_size, e
                 alone = transfer([_slot(stacks[s], 0, k)], xd, yd, cfg, [seed], mode)
                 _same_model(alone, 0, 0, want)
                 assert np.array_equal(proba[s, k], oracles.predict_proba(want, xt))
+
+
+# The dense reference runs every column through every product.  Skipping
+# the columns that add exact zeros, and computing a frozen layer once,
+# changes only the order in which BLAS adds, which moves a weight or a
+# probability by a few ulp: 6.7e-16 on weights and 2.2e-16 on
+# probabilities at worst over these cases.
+_DENSE_TOL = 1e-12
+
+
+def _near_model(stack, s, k, want):
+    for field in ("mu", "sigma"):
+        assert np.array_equal(getattr(stack, field), getattr(want, field)), field
+    for field in _WEIGHTS:
+        got, ref = getattr(stack, field)[s, k], getattr(want, field)
+        assert np.allclose(got, ref, rtol=0.0, atol=_DENSE_TOL), field
+
+
+@pytest.mark.parametrize("epochs", [4, 200])
+@pytest.mark.parametrize("n, d, hidden, batch_size, ensemble, n_sources", _SHAPES)
+def test_stacked_trainer_stays_within_tolerance_of_the_dense_reference(
+    n, d, hidden, batch_size, ensemble, n_sources, epochs
+):
+    cfg, seeds, splits, xd, yd, xt = _oracle_case(n, d, hidden, batch_size, ensemble, n_sources, epochs)
+    stacks, refs = [], []
+    for x, y in splits:
+        stack = train_within(x, y, cfg, seeds)
+        ref = [oracles.train_within(x, y, cfg, seed, dense=True) for seed in seeds]
+        proba = predict_proba(stack, xt)
+        for k in range(ensemble):
+            _near_model(stack, 0, k, ref[k])
+            assert np.allclose(proba[0, k], oracles.predict_proba(ref[k], xt), rtol=0.0, atol=_DENSE_TOL)
+        stacks.append(stack)
+        refs.append(ref)
+    for mode in ("hard", "soft"):
+        stack = transfer(stacks, xd, yd, cfg, seeds, mode)
+        proba = predict_proba(stack, xt)
+        for s in range(n_sources):
+            for k, seed in enumerate(seeds):
+                want = oracles.transfer(refs[s][k], xd, yd, cfg, seed, mode, dense=True)
+                _near_model(stack, s, k, want)
+                assert np.allclose(proba[s, k], oracles.predict_proba(want, xt), rtol=0.0, atol=_DENSE_TOL)
+
+
+def _copy(stack):
+    return harness.Model(*(np.copy(getattr(stack, f)) for f in ("mu", "sigma") + _WEIGHTS))
+
+
+def test_inactive_columns_keep_their_weights():
+    """A column whose standardized training values are all 0.0 does not
+    train, and ``predict_proba`` still reads its row of ``w1``."""
+    cfg = TrainConfig(hidden=4, epochs=30, lr=0.1, batch_size=8, ensemble=2, seed=5)
+    seeds = [5, 6]
+    rng = np.random.default_rng(11)
+    x, y = _xy(rng, 24, 6)
+    x[:, 2] = 0.0  # with the constant column 5, inactive in the source
+    xd, yd = _xy(rng, 20, 6)
+    xd[:, 1] = 3.0  # with column 5, inactive in the destination
+    stack = train_within(x, y, cfg, seeds)
+    for k, seed in enumerate(seeds):
+        draw = np.random.default_rng(seed)
+        draw.normal(0.0, np.sqrt(1.0 / cfg.hidden), size=cfg.hidden)  # the head
+        w1 = draw.normal(0.0, np.sqrt(2.0 / 6), size=(6, cfg.hidden))
+        assert np.array_equal(stack.w1[0, k, [2, 5]], w1[[2, 5]])
+        assert not np.any(stack.w1[0, k, [0, 1, 3, 4]] == w1[[0, 1, 3, 4]])
+    kept = _copy(stack)
+    hard = transfer([stack], xd, yd, cfg, seeds, "hard")
+    soft = transfer([stack], xd, yd, cfg, seeds, "soft")
+    for field in ("mu", "sigma") + _WEIGHTS:
+        assert np.array_equal(getattr(stack, field), getattr(kept, field)), field
+    assert np.array_equal(hard.w1, stack.w1)
+    assert np.array_equal(soft.w1[:, :, [1, 5]], stack.w1[:, :, [1, 5]])
+    assert not np.any(soft.w1[:, :, [0, 2, 3, 4]] == stack.w1[:, :, [0, 2, 3, 4]])
+    # rows that are nonzero after standardization in one inactive column only
+    for model, col, mode in ((stack, 2, None), (soft, 1, "soft"), (hard, 1, "hard")):
+        rows = np.tile(model.mu, (2, 1))
+        rows[1, col] += 2.0 * model.sigma[col]
+        proba = predict_proba(model, rows)
+        assert not np.array_equal(proba[..., 0], proba[..., 1])
+        for k, seed in enumerate(seeds):
+            ref = oracles.train_within(x, y, cfg, seed, dense=True)
+            if mode:
+                ref = oracles.transfer(ref, xd, yd, cfg, seed, mode, dense=True)
+            assert np.allclose(proba[0, k], oracles.predict_proba(ref, rows), rtol=0.0, atol=_DENSE_TOL)
+
+
+def test_a_split_with_no_active_column_trains_and_matches_the_oracle():
+    cfg = TrainConfig(hidden=3, epochs=5, lr=0.1, batch_size=4, ensemble=2, seed=1)
+    seeds = [1, 2]
+    rng = np.random.default_rng(4)
+    flat = np.tile([0.0, 1.0, 3.0], (10, 1)), np.resize([0.0, 1.0], 10)
+    live = _xy(rng, 12, 3)
+    xt = rng.normal(size=(5, 3))
+    splits = (flat, live)
+    stacks = [train_within(x, y, cfg, seeds) for x, y in splits]
+    refs = [[oracles.train_within(x, y, cfg, seed) for seed in seeds] for x, y in splits]
+    for stack, ref in zip(stacks, refs):
+        for k in range(len(seeds)):
+            _same_model(stack, 0, k, ref[k])
+    for xd, yd in splits:
+        for mode in ("hard", "soft"):
+            stack = transfer(stacks, xd, yd, cfg, seeds, mode)
+            proba = predict_proba(stack, xt)
+            assert np.isfinite(proba).all()
+            for s in range(len(splits)):
+                for k, seed in enumerate(seeds):
+                    want = oracles.transfer(refs[s][k], xd, yd, cfg, seed, mode)
+                    _same_model(stack, s, k, want)
+                    assert np.array_equal(proba[s, k], oracles.predict_proba(want, xt))
 
 
 def test_stacks_reject_mismatched_seeds():
