@@ -22,21 +22,25 @@ a stack in place with one batched product per layer per minibatch, and
 ``predict_proba`` scores a stack in one batched forward pass; each slot is
 bit-identical to its network fit and scored alone.  A fit trains only the
 active columns, those whose standardized training values are not all 0.0,
-and leaves the other rows of ``w1`` as they were; a hard fit computes its
-frozen hidden layer once.  Both rules drop only exact zeros, and the
-per-network oracle of the tests follows them too, so each slot stays
-``==`` to it.  ``fti_matrix`` fits
+and leaves the other rows of ``w1`` as they were; a fit that trains
+features adds ``b1`` inside the first-layer products, as one more row of
+``w1`` against a column of ones; a hard fit computes its frozen hidden
+layer once.  These rules are exact in real arithmetic but change which
+2-D products BLAS computes, and the per-network oracle of the tests
+follows them too, so each slot stays ``==`` to it.  ``fti_matrix`` fits
 each domain's ensemble as one ``train_within`` stack (S = 1) and each
 destination's hard or soft transfers as one ``transfer`` stack over all
 other domains' ensembles; ``evaluate_pair`` fits every model as its own
 1 x 1 stack and is the reference the matrix must match.
 
-``fti_matrix`` splits the seeds into one contiguous chunk per process:
-``min(usable CPUs, ensemble)`` processes, the calling one and workers
-forked from it, each fitting every stack over its own chunk.  The per-seed
-AUCs are joined in seed order before the mean is taken, so the records do
-not depend on the number of processes.  Where the affinity mask allows one
-CPU (``taskset -c 0``), or the platform cannot fork, it runs serially.
+``fti_matrix`` fits every stack once, over all seeds, and deals the stacks
+over ``min(usable CPUs, domains)`` processes, the calling one and workers
+forked from it: first every domain's ensemble, then every destination's
+hard and soft transfers from those ensembles, each domain to one process
+by its training rows, longest first to the least-loaded.  Each AUC is the
+mean of one stack's per-seed AUCs, so the records do not depend on the
+number of processes.  Where the affinity mask allows one CPU (``taskset
+-c 0``), or the platform cannot fork, it runs serially.
 
 numpy is imported inside the functions that compute with it, so the
 record type and its CSV reader and writer (``records_from_csv``,
@@ -124,15 +128,17 @@ def _fit(
     product and gradient, so the fit runs on ``xs[:, active]`` and
     ``w1[..., active, :]`` and writes the result back into ``w1``; the
     other rows of ``w1`` keep their values, which ``predict_proba`` reads
-    on rows where those columns are nonzero.  A hard fit
-    (``train_features`` false) never changes ``w1`` or ``b1``, so it
-    computes its frozen hidden layer on all n rows once and gathers each
-    minibatch from it.
+    on rows where those columns are nonzero.  A fit that trains features
+    carries ``b1`` as one more row of ``w1`` against a column of ones, so
+    the forward pass is one product and the last row of the ``gw1``
+    product is the gradient of ``b1``.  A hard fit (``train_features``
+    false) never changes ``w1`` or ``b1``, so it computes its frozen
+    hidden layer on all n rows once and gathers each minibatch from it.
 
     Every product is a batch of the 2-D products one network alone would
-    make under these two rules, and every other step is elementwise or a
-    reduction along the same axis, so each slot is bit-identical to
-    fitting its network alone.
+    make under these rules, on C-contiguous operands, and every other step
+    is elementwise or a reduction along the same axis, so each slot is
+    bit-identical to fitting its network alone.
     """
     import numpy as np
     from scipy.special import expit
@@ -145,6 +151,8 @@ def _fit(
     xs = xs.take(active, axis=1)
     w1, b1, w2, b2 = stack.w1.take(active, axis=-2), stack.b1, stack.w2, stack.b2
     if train_features:
+        xs = np.hstack([xs, np.ones((n, 1))])
+        w1 = np.concatenate([w1, b1[..., None, :]], axis=-2)
         gw1 = np.empty_like(w1)
     else:
         frozen = np.maximum(xs @ w1 + b1[..., None, :], 0.0)
@@ -153,13 +161,17 @@ def _fit(
         # axis out next to h
         source = np.arange(w1.shape[0])[:, None, None]
         seat = np.arange(w1.shape[1])[:, None]
-    for _ in range(cfg.epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs])
+    # one call per generator draws what one permutation(n) per epoch would;
+    # C order, since a gather lays its result out like its index
+    epochs = np.broadcast_to(np.arange(n), (cfg.epochs, n))
+    orders = np.stack([rng.permuted(epochs, axis=1) for rng in rngs], axis=1)
+    orders = np.ascontiguousarray(orders)
+    for order in orders:
         for lo in range(0, n, cfg.batch_size):
             idx = order[:, lo : lo + cfg.batch_size]
             if train_features:
                 xb = xs[idx]
-                z1 = xb @ w1 + b1[..., None, :]
+                z1 = xb @ w1
                 a1 = np.maximum(z1, 0.0)
             else:
                 a1 = frozen[source, seat, idx]
@@ -169,14 +181,14 @@ def _fit(
             gb2 = dz2.sum(axis=-1)
             if train_features:
                 dz1 = dz2[..., None] * w2[..., None, :] * (z1 > 0)
-                np.matmul(xb.swapaxes(-1, -2), dz1, out=gw1)
+                np.matmul(np.ascontiguousarray(xb.swapaxes(-1, -2)), dz1, out=gw1)
                 gw1 *= cfg.lr
                 w1 -= gw1
-                b1 -= cfg.lr * dz1.sum(axis=-2)
             w2 -= cfg.lr * gw2
             b2 -= cfg.lr * gb2
     if train_features:
-        stack.w1[..., active, :] = w1
+        stack.w1[..., active, :] = w1[..., :-1, :]
+        stack.b1[...] = w1[..., -1, :]
     return stack
 
 
@@ -431,21 +443,55 @@ def evaluate_pair(
     return TransferRecord(src.id, dst.id, base_auc, hard_auc, soft_auc)
 
 
-def _matrix_aucs(
-    datasets: list[DomainDataset], cfg: TrainConfig, seeds: Sequence[int]
+def _workers(n_stacks: int) -> int:
+    """Processes to share the ``n_stacks`` stacks of a phase: one per usable
+    CPU, at most one per stack, and one where affinity or fork is
+    unavailable."""
+    import multiprocessing  # here, not at the top: `report` and `explain` never fork
+
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    if not forks or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_stacks)
+
+
+def _deal(rows: Sequence[int], n: int) -> list[list[int]]:
+    """The indices of ``rows`` dealt into ``n`` shares, each in index order:
+    longest first, each to the share with the fewest rows so far, the
+    first such share on a tie."""
+    shares: list[list[int]] = [[] for _ in range(n)]
+    loads = [0] * n
+    for j in sorted(range(len(rows)), key=lambda j: -rows[j]):
+        k = loads.index(min(loads))
+        shares[k].append(j)
+        loads[k] += rows[j]
+    return [sorted(share) for share in shares]
+
+
+def _ensembles(
+    datasets: list[DomainDataset], cfg: TrainConfig, seeds: Sequence[int], share: list[int]
+) -> dict[int, Model]:
+    """The ``train_within`` ensemble over ``seeds`` of each dataset in ``share``."""
+    return {j: train_within(*_train_split(datasets[j]), cfg, seeds) for j in share}
+
+
+def _destination_aucs(
+    datasets: list[DomainDataset],
+    cfg: TrainConfig,
+    seeds: Sequence[int],
+    ensembles: dict[int, Model],
+    share: list[int],
 ) -> dict[tuple[int, int, str], list[float]]:
-    """Per-seed test AUCs of every model the matrix needs, over ``seeds``.
+    """Per-seed test AUCs of every model fit on a destination in ``share``.
 
     Key ``(i, j, mode)`` holds the AUCs on dataset j of dataset i's
     ensemble adapted to j in ``hard`` or ``soft`` mode, and ``(j, j,
     "base")`` those of j's own ensemble, one per seed in order.
     """
-    ensembles = [train_within(*_train_split(d), cfg, seeds) for d in datasets]
-    aucs = {
-        (j, j, "base"): _seed_aucs(stack, d)[0]
-        for j, (stack, d) in enumerate(zip(ensembles, datasets))
-    }
-    for j, dst in enumerate(datasets):
+    aucs = {}
+    for j in share:
+        dst = datasets[j]
+        aucs[j, j, "base"] = _seed_aucs(ensembles[j], dst)[0]
         others = [i for i in range(len(datasets)) if i != j]
         for mode in ("hard", "soft"):
             # one stack alive at a time: it is dropped before the next is fit
@@ -458,31 +504,20 @@ def _matrix_aucs(
     return aucs
 
 
-def _workers(n_seeds: int) -> int:
-    """Processes to share an ensemble of ``n_seeds``: one per usable CPU,
-    at most one per seed, and one where affinity or fork is unavailable."""
-    import multiprocessing  # here, not at the top: `report` and `explain` never fork
+def _matrix_aucs(
+    datasets: list[DomainDataset], cfg: TrainConfig, seeds: Sequence[int], shares: list[list[int]]
+) -> dict[tuple[int, int, str], list[float]]:
+    """``_destination_aucs`` of every dataset, each stack fit once over all
+    ``seeds``.
 
-    forks = "fork" in multiprocessing.get_all_start_methods()
-    if not forks or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_seeds)
-
-
-def _chunks(seeds: list[int], n: int) -> list[list[int]]:
-    """``seeds`` cut into ``n`` contiguous chunks, the larger ones first."""
-    q, r = divmod(len(seeds), n)
-    cuts = [k * q + min(k, r) for k in range(n + 1)]
-    return [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-
-
-def _chunk_aucs(
-    datasets: list[DomainDataset], cfg: TrainConfig, chunks: list[list[int]]
-) -> list[dict[tuple[int, int, str], list[float]]]:
-    """``_matrix_aucs`` of each chunk, in order.  This process computes the
-    first chunk while forked workers compute the others."""
-    if len(chunks) == 1:
-        return [_matrix_aucs(datasets, cfg, chunks[0])]
+    Phase one fits the ensembles, phase two the transfers from them, each
+    dealt by ``shares`` of the datasets: this process computes the first
+    share of a phase while workers forked from it compute the others, and
+    phase two's workers receive every ensemble.
+    """
+    if len(shares) == 1:
+        ensembles = _ensembles(datasets, cfg, seeds, shares[0])
+        return _destination_aucs(datasets, cfg, seeds, ensembles, shares[0])
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -492,10 +527,16 @@ def _chunk_aucs(
     # again.  A fork-context pool forks all its workers before it starts
     # its own thread.
     fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(len(chunks) - 1, mp_context=fork) as pool:
-        futures = [pool.submit(_matrix_aucs, datasets, cfg, c) for c in chunks[1:]]
-        first = _matrix_aucs(datasets, cfg, chunks[0])
-        return [first] + [f.result() for f in futures]
+    with ProcessPoolExecutor(len(shares) - 1, mp_context=fork) as pool:
+
+        def dealt(fn, *args):
+            futures = [pool.submit(fn, datasets, cfg, seeds, *args, s) for s in shares[1:]]
+            merged = fn(datasets, cfg, seeds, *args, shares[0])
+            for f in futures:
+                merged.update(f.result())
+            return merged
+
+        return dealt(_destination_aucs, dealt(_ensembles))
 
 
 def fti_matrix(
@@ -514,20 +555,21 @@ def fti_matrix(
     bit-identical to the model ``evaluate_pair`` fits alone, so the records,
     written in ``(source, target)`` order, match it on every pair.
 
-    The seeds are cut into one contiguous chunk per process (``_workers``),
-    and each chunk fits all those stacks over its own seeds.  Each AUC is
-    the mean of the per-seed AUCs of all chunks joined in seed order: the
-    same list, in the same order, whatever the number of chunks.
+    The domains are dealt by training rows over ``_workers`` processes
+    (``_deal``), and each process fits the ensembles of its domains, then
+    the transfers into them.  Every stack is fit once over all seeds, so
+    each AUC is the mean of one per-seed list, the same whatever the number
+    of processes.
     """
     import numpy as np
 
     check_weights(omega1, omega2)
     datasets = prepare_datasets(domains, cfg)
-    seeds = _seed_list(cfg)
-    parts = _chunk_aucs(datasets, cfg, _chunks(seeds, _workers(len(seeds))))
+    shares = _deal([len(d.train) for d in datasets], _workers(len(datasets)))
+    aucs = _matrix_aucs(datasets, cfg, _seed_list(cfg), shares)
 
     def mean(i: int, j: int, mode: str) -> float:
-        return float(np.mean([a for part in parts for a in part[i, j, mode]]))
+        return float(np.mean(aucs[i, j, mode]))
 
     records = [
         TransferRecord(

@@ -554,12 +554,16 @@ def effective_brute(closures, target, kappa, tau):
 # One network at a time, in 2-D products.  ``_fit_dense`` is the harness
 # trainer as it was before model stacks, copied unchanged: every column of
 # every minibatch, each minibatch standardized on its own.  ``_fit`` is
-# the same descent under the harness's two rules, written here without its
-# code: a column whose standardized training values are all 0.0 adds exact
-# zeros, so only the other columns enter the products, and a frozen hidden
-# layer is computed on all rows once.  The rules change which 2-D products
-# BLAS is handed, so the stacked trainer is held to ``_fit`` with ==, and
-# to ``_fit_dense`` within a tolerance its test states.
+# the same descent under the harness's three rules, written here without
+# its code: a column whose standardized training values are all 0.0 adds
+# exact zeros, so only the other columns enter the products; a fit that
+# trains features takes ``b1`` as the weights of one more input column of
+# ones, inside the same products; and a frozen hidden layer is computed on
+# all rows once.  The rules change which 2-D products BLAS is handed, and
+# BLAS may take another route for an operand of another layout, so every
+# product here gets C-contiguous operands, as in the harness.  The stacked
+# trainer is held to ``_fit`` with ==, and to ``_fit_dense`` within a
+# tolerance its test states.
 
 
 @dataclass
@@ -627,16 +631,19 @@ def _fit(
     xs = (x - model.mu) / model.sigma
     live = [j for j in range(xs.shape[1]) if not np.all(xs[:, j] == 0.0)]
     xs = np.ascontiguousarray(xs[:, live])  # the index leaves it column-major
-    w1 = model.w1[live]
-    if not train_features:
-        hidden = np.maximum(xs @ w1 + model.b1, 0.0)
     n = len(y)
+    if train_features:
+        # b1 is the weight row of one more input, 1.0 on every row
+        xs = np.column_stack([xs, np.ones(n)])
+        w1 = np.vstack([model.w1[live], model.b1])
+    else:
+        hidden = np.maximum(xs @ model.w1[live] + model.b1, 0.0)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             if train_features:
-                z1 = xs[idx] @ w1 + model.b1
+                z1 = xs[idx] @ w1
                 a1 = np.maximum(z1, 0.0)
             else:
                 a1 = hidden[idx]
@@ -646,11 +653,12 @@ def _fit(
             gb2 = dz2.sum()
             if train_features:
                 dz1 = np.outer(dz2, model.w2) * (z1 > 0)
-                w1 -= cfg.lr * (xs[idx].T @ dz1)
-                model.b1 -= cfg.lr * dz1.sum(axis=0)
+                w1 -= cfg.lr * (np.ascontiguousarray(xs[idx].T) @ dz1)
             model.w2 -= cfg.lr * gw2
             model.b2 -= cfg.lr * gb2
-    model.w1[live] = w1
+    if train_features:
+        model.w1[live] = w1[:-1]
+        model.b1 = w1[-1]
     return model
 
 

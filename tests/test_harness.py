@@ -263,9 +263,10 @@ def _oracle_case(n, d, hidden, batch_size, ensemble, n_sources, epochs=4):
     return cfg, seeds, splits, xd, yd, rng.normal(size=(7, d))
 
 
-@pytest.mark.parametrize("n, d, hidden, batch_size, ensemble, n_sources", _SHAPES)
-def test_stacked_trainer_equals_the_per_model_oracle(n, d, hidden, batch_size, ensemble, n_sources):
-    cfg, seeds, splits, xd, yd, xt = _oracle_case(n, d, hidden, batch_size, ensemble, n_sources)
+def _equals_the_oracle(cfg, seeds, splits, xd, yd, xt):
+    """Every slot of the ensembles of ``splits`` and of their hard and soft
+    transfers to ``(xd, yd)`` is the oracle's network, stacked or alone."""
+    n_sources, ensemble, (d,) = len(splits), len(seeds), xt.shape[1:]
     stacks, refs = [], []
     for x, y in splits:
         stack = train_within(x, y, cfg, seeds)
@@ -277,7 +278,7 @@ def test_stacked_trainer_equals_the_per_model_oracle(n, d, hidden, batch_size, e
         refs.append(ref)
     for mode in ("hard", "soft"):
         stack = transfer(stacks, xd, yd, cfg, seeds, mode)
-        assert stack.w1.shape == (n_sources, ensemble, d, hidden)
+        assert stack.w1.shape == (n_sources, ensemble, d, cfg.hidden)
         proba = predict_proba(stack, xt)
         assert proba.shape == (n_sources, ensemble, len(xt))
         for s in range(n_sources):
@@ -289,11 +290,31 @@ def test_stacked_trainer_equals_the_per_model_oracle(n, d, hidden, batch_size, e
                 assert np.array_equal(proba[s, k], oracles.predict_proba(want, xt))
 
 
-# The dense reference runs every column through every product.  Skipping
-# the columns that add exact zeros, and computing a frozen layer once,
-# changes only the order in which BLAS adds, which moves a weight or a
-# probability by a few ulp: 6.7e-16 on weights and 2.2e-16 on
-# probabilities at worst over these cases.
+@pytest.mark.parametrize("n, d, hidden, batch_size, ensemble, n_sources", _SHAPES)
+def test_stacked_trainer_equals_the_per_model_oracle(n, d, hidden, batch_size, ensemble, n_sources):
+    _equals_the_oracle(*_oracle_case(n, d, hidden, batch_size, ensemble, n_sources))
+
+
+@pytest.mark.parametrize("case", ["batch-of-one", "one-active-destination-column"])
+def test_stacked_trainer_equals_the_per_model_oracle_on_degenerate_products(case):
+    """Shapes where numpy hands a product to gemv or a loop, not gemm: every
+    minibatch one row, or a destination whose only active column makes
+    each first-layer product take one input (two with the bias)."""
+    if case == "batch-of-one":
+        cfg, seeds, splits, xd, yd, xt = _oracle_case(13, 6, 4, 1, 2, 2)
+    else:
+        cfg, seeds, splits, xd, yd, xt = _oracle_case(21, 7, 5, 4, 3, 3)
+        xd[:, 1:] = xd[0, 1:]
+        assert np.ptp(xd[:, 0]) > 0.0
+    _equals_the_oracle(cfg, seeds, splits, xd, yd, xt)
+
+
+# The dense reference runs every column through every product and adds
+# b1 apart.  Skipping the columns that add exact zeros, adding b1 inside
+# the first-layer products, and computing a frozen layer once, changes
+# only the order in which BLAS adds, which moves a weight or a probability
+# by a few ulp: 1.1e-15 on weights and 3.3e-16 on probabilities at worst
+# over these cases.
 _DENSE_TOL = 1e-12
 
 
@@ -536,7 +557,7 @@ def test_matrix_matches_independent_pair_evaluation():
         assert fti[(r.source, r.target)] == r.fti(1.0, 1.0)
 
 
-def _one_worker(n_seeds):
+def _one_worker(n_stacks):
     return 1
 
 
@@ -591,71 +612,96 @@ def test_matrix_does_not_depend_on_the_worker_count(monkeypatch):
     cfg = TrainConfig(hidden=4, epochs=20, lr=0.1, batch_size=8, ensemble=3)
     results = {}
     for n in (1, 2, 3):
-        monkeypatch.setattr(harness, "_workers", lambda n_seeds, n=n: n)
+        monkeypatch.setattr(harness, "_workers", lambda n_stacks, n=n: n)
         results[n] = fti_matrix(_domains(), cfg)
         assert multiprocessing.active_children() == []
     assert results[2] == results[1] and results[3] == results[1]
 
 
-def test_workers_cap_at_the_ensemble_and_split_the_seeds(monkeypatch, tmp_path):
+def test_workers_cap_at_the_domain_count_and_split_the_stacks(monkeypatch, tmp_path):
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     assert [harness._workers(n) for n in (1, 2, 3, 7)] == [1, 2, 3, 3]
-    assert harness._chunks(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
-    trained, log = [], tmp_path / "transfers.log"
+    # longest first to the share with the fewest rows, the first on a tie:
+    # mini_flights' training rows, A1..A4 then B1..B4, deal 196 and 196
+    assert harness._deal([51, 52, 40, 53, 52, 46, 42, 56], 2) == [[4, 5, 6, 7], [0, 1, 2, 3]]
+    assert harness._deal([3, 1, 1, 1], 2) == [[0], [1, 2, 3]]
+    assert harness._deal([8, 8, 8], 3) == [[0], [1], [2]]
+    domains, log = _domains(), tmp_path / "fits.log"
+    datasets = prepare_datasets(domains, FAST)
     real_train, real_transfer = harness.train_within, harness.transfer
 
+    def record(kind, x, seeds, mode="base"):
+        (j,) = [j for j, d in enumerate(datasets) if np.array_equal(x, d.x[d.train])]
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {kind} {j} {mode} {list(seeds)}\n")
+
     def train_spy(x, y, cfg, seeds):
-        trained.append(list(seeds))
+        record("train_within", x, seeds)
         return real_train(x, y, cfg, seeds)
 
     def transfer_spy(sources, x, y, cfg, seeds, mode):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {list(seeds)}\n")
+        record("transfer", x, seeds, mode)
         return real_transfer(sources, x, y, cfg, seeds, mode)
 
     monkeypatch.setattr(harness, "train_within", train_spy)
     monkeypatch.setattr(harness, "transfer", transfer_spy)
-    got = fti_matrix(_domains(), FAST)
-    # ensemble 2 on three CPUs: two chunks of one seed, the first one here
-    assert trained == [[FAST.seed]] * 3
-    calls = Counter(log.read_text().splitlines())
-    assert calls[f"{os.getpid()} [{FAST.seed}]"] == 6
-    (other,) = [c for c in calls if not c.startswith(f"{os.getpid()} ")]
-    assert other.endswith(f" [{FAST.seed + 1}]") and calls[other] == 6
+    got = fti_matrix(domains, FAST)
     assert multiprocessing.active_children() == []
+    # three domains on three CPUs: one share each, the first one here
+    seeds = [FAST.seed + k for k in range(FAST.ensemble)]
+    calls = [line.split(" ", 4) for line in log.read_text().splitlines()]
+    assert Counter((kind, int(j), mode) for _, kind, j, mode, _ in calls) == Counter(
+        [("train_within", j, "base") for j in range(3)]
+        + [("transfer", j, mode) for j in range(3) for mode in ("hard", "soft")]
+    )
+    assert all(fit_seeds == str(seeds) for *_, fit_seeds in calls)
+    # in each phase, one process per share: a destination's hard and soft
+    # fits share one, and this one fits the first domain's
+    for phase in ("train_within", "transfer"):
+        owner = {}
+        for pid, kind, j, _, _ in calls:
+            if kind == phase:
+                assert owner.setdefault(int(j), pid) == pid, (phase, j)
+        assert owner[0] == str(os.getpid()) and len(set(owner.values())) == 3, phase
     monkeypatch.setattr(harness, "_workers", _one_worker)
     monkeypatch.setattr(harness, "train_within", real_train)
     monkeypatch.setattr(harness, "transfer", real_transfer)
-    assert got == fti_matrix(_domains(), FAST)
+    assert got == fti_matrix(domains, FAST)
 
 
-def _failing_in_a_worker(monkeypatch, fail):
-    real_transfer = harness.transfer
+def _failing_in_a_worker(monkeypatch, fail, phase):
+    """``fail()`` in any ``phase`` fit ("train_within" or "transfer") run
+    outside this process, with the matrix on two processes."""
+    caller, real = os.getpid(), getattr(harness, phase)
 
-    def transfer_spy(sources, x, y, cfg, seeds, mode):
-        if seeds[0] != cfg.seed:
+    def spy(*args):
+        if os.getpid() != caller:
             fail()
-        return real_transfer(sources, x, y, cfg, seeds, mode)
+        return real(*args)
 
-    monkeypatch.setattr(harness, "transfer", transfer_spy)
-    monkeypatch.setattr(harness, "_workers", lambda n_seeds: 2)
+    monkeypatch.setattr(harness, phase, spy)
+    monkeypatch.setattr(harness, "_workers", lambda n_stacks: 2)
 
 
 def test_a_data_error_in_a_worker_reaches_the_caller(monkeypatch):
     def fail():
         raise DataError("scores must be finite in a worker")
 
-    _failing_in_a_worker(monkeypatch, fail)
-    with pytest.raises(DataError, match="^scores must be finite in a worker$"):
-        fti_matrix(_domains(), FAST)
-    assert multiprocessing.active_children() == []
+    for phase in ("train_within", "transfer"):
+        with monkeypatch.context() as m:
+            _failing_in_a_worker(m, fail, phase)
+            with pytest.raises(DataError, match="^scores must be finite in a worker$"):
+                fti_matrix(_domains(), FAST)
+        assert multiprocessing.active_children() == []
 
 
 def test_a_worker_that_dies_fails_the_matrix(monkeypatch):
-    _failing_in_a_worker(monkeypatch, lambda: os._exit(1))
-    with pytest.raises(BrokenProcessPool):
-        fti_matrix(_domains(), FAST)
-    assert multiprocessing.active_children() == []
+    for phase in ("train_within", "transfer"):
+        with monkeypatch.context() as m:
+            _failing_in_a_worker(m, lambda: os._exit(1), phase)
+            with pytest.raises(BrokenProcessPool):
+                fti_matrix(_domains(), FAST)
+        assert multiprocessing.active_children() == []
 
 
 def test_fti_from_records_applies_weights():
