@@ -18,7 +18,8 @@ Each stage that reads ``--corpus`` attaches the axioms an earlier
 mines its roots itself with its own config, so ``roots/`` is output only.
 ``fti --auc-csv`` and ``selftest`` read no corpus.
 
-Exit codes: 0 success, 1 usage errors, 2 data errors.  Tuning values come
+Exit codes: 0 success, 1 usage errors, 2 data errors; an input file that is
+missing, not UTF-8 or malformed is a data error naming it.  Tuning values come
 from flags first, then a ``key = value`` config file, then defaults; the
 tuning keys are the fields of :class:`.config.PipelineConfig`.  Every stage
 makes one before it reads the corpus, and making one checks every value,
@@ -42,8 +43,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from .config import PipelineConfig
-from .corpus import Corpus, load_corpus
-from .errors import DataError, UsageError
+from .corpus import Corpus, load_corpus, parse_file
+from .errors import DataError, UsageError, read_key_values
 from .ontology import axioms_to_text, parse_abox
 from .reasoner import Entailment
 
@@ -62,19 +63,9 @@ def _coerce(key: str, value: str):
 def load_config_file(path: str | Path) -> dict:
     """Flat ``key = value`` file; keys match PipelineConfig fields."""
     out: dict = {}
-    path = Path(path)
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        key = key.replace("-", "_")
+    for lineno, key, value in read_key_values(path, lambda k: k.replace("-", "_")):
         if key not in _CFG_DEFAULTS:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in out:
-            raise DataError(f"{path}:{lineno}: duplicate config key {key!r}")
         out[key] = _coerce(key, value)
     return out
 
@@ -103,7 +94,7 @@ def _fmt(x) -> str:
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -120,7 +111,7 @@ def _load_corpus(args, outdir: Path | None) -> Corpus:
         for d in corpus.domains:
             f = outdir / "external" / f"{d.id}.axioms"
             if f.exists():
-                d.set_external_axioms(parse_abox(f.read_text()))
+                d.set_external_axioms(parse_file(f, parse_abox))
     return corpus
 
 
@@ -420,10 +411,6 @@ def main(argv=None) -> int:
         return 1
     except DataError as err:
         print(f"data error: {err}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError) as err:
-        # an input path (--config, --kb, --kb-map, --auc-csv) naming no file, or a directory
-        print(f"data error: cannot read {err.filename}: {err.strerror}", file=sys.stderr)
         return 2
 
 

@@ -186,10 +186,7 @@ class CoreContextScan:
             results[idxs] = scored.get(mask) or score_mask(mask)
             if len(idxs) < max_dim:
                 for nxt in range(idxs[-1] + 1, n):
-                    child_mask = mask & masks[nxt]
-                    # evidence domains can only shrink along an extension
-                    assert not child_mask & ~mask, "evidence-domain growth"
-                    walk(idxs + (nxt,), child_mask)
+                    walk(idxs + (nxt,), mask & masks[nxt])
 
         for i in range(n):
             walk((i,), masks[i])

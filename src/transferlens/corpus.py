@@ -11,7 +11,11 @@ Layout::
         manifest.txt        "key = value" lines: id, target
         lsos/<name>.ont     one LSO per file
 
-LSO files hold ``@ann key value`` annotation lines followed by ABox axioms;
+Every file is read as UTF-8 through :func:`.errors.read_input`.  The
+ontology documents are parsed by :func:`.ontology.parse_tbox` (``tbox.ont``,
+``constraints.ont``) or :func:`.ontology.parse_abox` (LSOs), whose errors and
+wrong-kind refusals :func:`parse_file` prefixes with the file's path.  LSO
+files hold ``@ann key value`` annotation lines followed by ABox axioms;
 parse errors cite lines of the file, annotation lines included.
 
 ``load_corpus`` pauses the cycle collector while it reads: a load allocates
@@ -20,20 +24,21 @@ many objects (about 10^5 for ``mini_flights``) and none in reference cycles.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
 from .domain import LearningDomain, Lso, collector_paused
-from .errors import DataError
+from .errors import DataError, read_input, read_key_values
 from .ontology import (
     Gci,
     NormalizedTBox,
-    Ontology,
     OntologyError,
     TBoxAxiom,
     normalize_tbox,
-    parse_ontology,
+    parse_abox,
+    parse_tbox,
 )
 from .reasoner import Entailment
 
@@ -62,31 +67,17 @@ class Corpus:
         raise DataError(f"no domain {domain_id!r} in corpus {self.root}")
 
 
-def _read_manifest(path: Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in out:
-            raise DataError(f"{path}:{lineno}: duplicate key {key!r}")
-        out[key] = value
-    return out
-
-
-def _parse(path: Path, text: str) -> Ontology:
+def parse_file(path: Path, parse: Callable[[str], frozenset], text: str | None = None):
+    """``parse`` of the file's text (or of ``text``, read from it), located at the file."""
     try:
-        return parse_ontology(text)
+        return parse(read_input(path) if text is None else text)
     except OntologyError as err:
         raise DataError(f"{path}: {err}") from err
 
 
 def _parse_lso_file(path: Path) -> Lso:
     ann: set[tuple[str, str]] = set()
-    lines = path.read_text().splitlines()
+    lines = read_input(path).splitlines()
     for lineno, raw in enumerate(lines, start=1):
         if "@" not in raw:
             continue
@@ -106,10 +97,8 @@ def _parse_lso_file(path: Path) -> Lso:
                 ) from None
         ann.add((parts[1], parts[2]))
         lines[lineno - 1] = ""  # blanked, not dropped, so parse errors cite file lines
-    ont = _parse(path, "\n".join(lines))
-    if ont.tbox:
-        raise DataError(f"{path}: TBox axioms are not allowed in LSO files")
-    return Lso(name=path.stem, annotations=frozenset(ann), abox=ont.abox)
+    abox = parse_file(path, parse_abox, "\n".join(lines))
+    return Lso(name=path.stem, annotations=frozenset(ann), abox=abox)
 
 
 def load_corpus(root: str | Path) -> Corpus:
@@ -120,27 +109,19 @@ def load_corpus(root: str | Path) -> Corpus:
 def _load(root: Path) -> Corpus:
     if not root.is_dir():
         raise DataError(f"corpus root {root} is not a directory")
-    tbox_file = root / "tbox.ont"
-    if not tbox_file.exists():
-        raise DataError(f"{root} has no tbox.ont")
-    tbox_ont = _parse(tbox_file, tbox_file.read_text())
-    if tbox_ont.abox:
-        raise DataError(f"{tbox_file}: ABox axioms do not belong in the shared TBox")
+    tbox = parse_file(root / "tbox.ont", parse_tbox)
 
     constraints: frozenset[TBoxAxiom] = frozenset()
     cfile = root / "constraints.ont"
     if cfile.exists():
-        cont = _parse(cfile, cfile.read_text())
-        if cont.abox:
-            raise DataError(f"{cfile}: constraints must be TBox axioms")
-        for ax in cont.tbox:
+        constraints = parse_file(cfile, parse_tbox)
+        for ax in constraints:
             if not isinstance(ax, Gci) or str(ax.rhs) != "Bottom":
                 raise DataError(
                     f"{cfile}: constraint axioms must be Bottom-headed inclusions, got {ax}"
                 )
-        constraints = cont.tbox
 
-    ntbox = normalize_tbox(tbox_ont.tbox)
+    ntbox = normalize_tbox(tbox)
 
     domains_dir = root / "domains"
     if not domains_dir.is_dir():
@@ -148,9 +129,7 @@ def _load(root: Path) -> Corpus:
     domains: list[LearningDomain] = []
     for dom_dir in sorted(p for p in domains_dir.iterdir() if p.is_dir()):
         manifest_file = dom_dir / "manifest.txt"
-        if not manifest_file.exists():
-            raise DataError(f"{dom_dir} has no manifest.txt")
-        manifest = _read_manifest(manifest_file)
+        manifest = {k: v for _, k, v in read_key_values(manifest_file)}
         unknown = set(manifest) - {"id", "target", "notes"}
         if unknown:
             raise DataError(f"{manifest_file}: unknown keys {sorted(unknown)}")

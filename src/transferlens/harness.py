@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING
 
 from .config import PipelineConfig, TrainConfig, check_weights
 from .domain import LearningDomain, encode_dataset, feature_space, split_indices
-from .errors import DataError
+from .errors import DataError, read_input
 
 if TYPE_CHECKING:
     import numpy as np
@@ -595,7 +595,7 @@ _CSV_FIELDS = ("source", "target", "auc_base", "auc_hard", "auc_soft")
 
 
 def records_to_csv(records: list[TransferRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_FIELDS)
         for r in records:
@@ -606,35 +606,34 @@ def records_to_csv(records: list[TransferRecord], path) -> None:
 
 
 def records_from_csv(path) -> list[TransferRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != _CSV_FIELDS:
+    reader = csv.reader(read_input(path).splitlines())
+    header = next(reader, None)
+    if header is None or tuple(h.strip() for h in header) != _CSV_FIELDS:
+        raise DataError(f"expected header {','.join(_CSV_FIELDS)} in {path}")
+    records = []
+    first_line: dict[tuple[str, str], int] = {}
+    for i, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise DataError(f"{path}:{i}: expected 5 fields, got {len(row)}")
+        if not all(x and x == x.strip() for x in row[:2]):
+            raise DataError(f"{path}:{i}: empty or padded domain id in {row[0]!r},{row[1]!r}")
+        try:
+            aucs = [float(v) for v in row[2:]]
+        except ValueError as exc:
+            raise DataError(f"{path}:{i}: {exc}") from None
+        # written this way round so that NaN fails the test too
+        if not all(0.0 <= v <= 1.0 for v in aucs):
+            raise DataError(f"{path}:{i}: AUCs must lie in [0, 1], got {row[2:]}")
+        pair = (row[0], row[1])
+        if pair[0] == pair[1]:
+            raise DataError(f"{path}:{i}: self-pair {pair[0]},{pair[1]}")
+        if pair in first_line:
             raise DataError(
-                f"expected header {','.join(_CSV_FIELDS)} in {path}"
+                f"{path}:{i}: duplicate pair {pair[0]},{pair[1]} "
+                f"(first on line {first_line[pair]})"
             )
-        records = []
-        first_line: dict[tuple[str, str], int] = {}
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataError(f"{path}:{i}: expected 5 fields, got {len(row)}")
-            try:
-                aucs = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{i}: {exc}") from None
-            # written this way round so that NaN fails the test too
-            if not all(0.0 <= v <= 1.0 for v in aucs):
-                raise DataError(f"{path}:{i}: AUCs must lie in [0, 1], got {row[2:]}")
-            pair = (row[0], row[1])
-            if pair[0] == pair[1]:
-                raise DataError(f"{path}:{i}: self-pair {pair[0]},{pair[1]}")
-            if pair in first_line:
-                raise DataError(
-                    f"{path}:{i}: duplicate pair {pair[0]},{pair[1]} "
-                    f"(first on line {first_line[pair]})"
-                )
-            first_line[pair] = i
-            records.append(TransferRecord(*pair, *aucs))
+        first_line[pair] = i
+        records.append(TransferRecord(*pair, *aucs))
     return records

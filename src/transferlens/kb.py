@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .domain import LearningDomain
-from .errors import DataError
+from .errors import DataError, read_input
 from .ontology import ABoxAxiom, Atomic, ClassAssertion, Gci, NAME_CHARS, NAME_RE, RoleAssertion
 from .reasoner import is_consistent
 
@@ -66,9 +66,7 @@ class FileKbAdapter:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._by_id: dict[str, KbEntity] = {}
-        for lineno, raw in enumerate(
-            self.path.read_text().splitlines(), start=1
-        ):
+        for lineno, raw in enumerate(read_input(self.path).splitlines(), start=1):
             # strip spaces only: a trailing tab is an empty (legal) props field
             line = raw.split("#", 1)[0].rstrip(" \r")
             if not line.strip():
@@ -223,8 +221,7 @@ class VocabularyMapping:
 
     @staticmethod
     def load(path: str | Path) -> "VocabularyMapping":
-        path = Path(path)
-        return VocabularyMapping.parse(path.read_text(), origin=str(path))
+        return VocabularyMapping.parse(read_input(path), origin=str(path))
 
 
 def extract_axioms(

@@ -12,6 +12,7 @@ selected result is rendered (nothing silently dropped).
 from __future__ import annotations
 
 import json
+import statistics
 from dataclasses import dataclass
 
 from .errors import DataError
@@ -158,7 +159,7 @@ def build_report(
         vals = sorted(fti.values())
         lines.append(
             f"Transfer index over {len(vals)} pairs: "
-            f"min {vals[0]:.4f}, median {vals[len(vals) // 2]:.4f}, "
+            f"min {vals[0]:.4f}, median {statistics.median(vals):.4f}, "
             f"max {vals[-1]:.4f}."
         )
     lines += ["", "General factors", "---------------"]

@@ -108,7 +108,7 @@ def test_resolve_config_flags_beat_file_beat_defaults(tmp_path):
 
 
 def test_load_config_file_errors(tmp_path):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(DataError, match=r"^cannot read .*absent\.cfg: No such file"):
         load_config_file(tmp_path / "absent.cfg")
 
     p = tmp_path / "c.cfg"
@@ -251,6 +251,102 @@ def test_unreadable_input_paths_exit_2(argv, flag, tmp_path, capsys):
         assert main([*argv, "--outdir", str(tmp_path / "o"), flag, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: cannot read ") and str(path) in err
+
+
+# Every input file a stage reads: the stage, the file's place in a copy of the
+# corpus (or in the outdir "out", or beside both), valid text for it, then
+# malformed text with the located message it gets, and wrong-kind text with
+# its message for the ontology documents.
+_ONT_MALFORMED = ("ClassAssert(A x\n", ": line 1, col 15: expected ')', got end of input")
+_NOT_TBOX = ("ClassAssert(A x)\n", ": expected TBox-only document, found ClassAssert(A x)")
+_NOT_ABOX = ("SubClassOf(A B)\n", ": expected ABox-only document, found SubClassOf(A B)")
+INPUT_FILES = {
+    "tbox.ont": (["materialize"], "corpus/tbox.ont", TBOX, _ONT_MALFORMED, _NOT_TBOX),
+    "constraints.ont": (
+        ["materialize"], "corpus/constraints.ont", CONSTRAINTS, _ONT_MALFORMED, _NOT_TBOX,
+    ),
+    "manifest": (
+        ["materialize"],
+        "corpus/domains/da/manifest.txt",
+        "id = da\ntarget = Tgt(d)\n",
+        ("id = da\ntarget Tgt(d)\n", ":2: expected 'key = value', got 'target Tgt(d)'"),
+        None,
+    ),
+    "lso": (
+        ["materialize"], "corpus/domains/da/lsos/lso-000.ont", _lso(0, 1, 1),
+        _ONT_MALFORMED, _NOT_ABOX,
+    ),
+    "external-axioms": (
+        ["materialize"], "out/external/da.axioms", "ClassAssert(P d)\n",
+        _ONT_MALFORMED, _NOT_ABOX,
+    ),
+    "config": (
+        ["materialize", "--config", "{file}"],
+        "fast.cfg",
+        FAST_CFG,
+        ("epochs = 5\nepochs\n", ":2: expected 'key = value', got 'epochs'"),
+        None,
+    ),
+    "kb.txt": (
+        ["import-external"],
+        "corpus/kb.txt",
+        KB,
+        (
+            "APT1\tLAX\n",
+            ":1: expected 4 tab-separated fields (id, labels, types, props), got 2",
+        ),
+        None,
+    ),
+    "kb_map.txt": (
+        ["import-external"],
+        "corpus/kb_map.txt",
+        KB_MAP,
+        (
+            "type Song\n",
+            ":1: expected 'type X -> Y', 'prop X -> Z' or 'drop-unmapped = ...', "
+            "got 'type Song'",
+        ),
+        None,
+    ),
+    "auc-csv": (
+        ["fti", "--auc-csv", "{file}"],
+        "measured.csv",
+        "source,target,auc_base,auc_hard,auc_soft\nda,db,0.5,0.5,0.5\n",
+        (
+            "source,target,auc_base,auc_hard,auc_soft\nda,db,0.5\n",
+            ":2: expected 5 fields, got 3",
+        ),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [
+        (name, fault)
+        for name, spec in INPUT_FILES.items()
+        for fault in ("malformed", "wrong-kind", "not-utf-8")
+        if fault != "wrong-kind" or spec[4] is not None
+    ],
+)
+def test_every_bad_input_file_exits_2_naming_it(name, fault, corpus_dir, tmp_path, capsys):
+    stage, rel, valid, malformed, wrong_kind = INPUT_FILES[name]
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    path = tmp_path / rel
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if fault == "not-utf-8":
+        # a Latin-1 line after valid ones, as an editor in that encoding leaves it
+        path.write_bytes(valid.encode() + "télé\n".encode("latin-1"))
+        n = len(valid.splitlines()) + 1
+        suffix = f":{n}: not UTF-8 text (invalid continuation byte)"
+    else:
+        text, suffix = malformed if fault == "malformed" else wrong_kind
+        path.write_text(text)
+    argv = [arg.format(file=path) for arg in stage]
+    argv += ["--corpus", str(tmp_path / "corpus"), "--outdir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"data error: {path}{suffix}\n"
 
 
 def test_report_without_fti_artifact_exits_2(corpus_dir, tmp_path, capsys):

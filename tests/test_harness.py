@@ -751,6 +751,8 @@ def test_csv_rejects_malformed_input(tmp_path):
         ("a,b,-0.1,0.5,0.5", ":3: AUCs must lie in"),
         ("a,a,0.5,0.5,0.5", ":3: self-pair a,a"),
         ("z,y,0.6,0.5,0.5", r":3: duplicate pair z,y \(first on line 2\)"),
+        ("a,,0.5,0.5,0.5", r":3: empty or padded domain id in 'a',''"),
+        ("a, b,0.5,0.5,0.5", r":3: empty or padded domain id in 'a',' b'"),
     ]:
         path.write_text(head + row + "\n")
         with pytest.raises(DataError, match=pattern):

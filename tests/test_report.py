@@ -124,7 +124,7 @@ def test_build_report_text_sections():
     rep = _toy_report()
     text = rep.text
     assert "Comparison set: 2 domains (a, b), 2 ordered pairs." in text
-    assert "Transfer index over 2 pairs: min -0.0500, median 0.1000, max 0.1000." in text
+    assert "Transfer index over 2 pairs: min -0.0500, median 0.0250, max 0.1000." in text
     assert "General factors" in text
     assert "No usable evidence from d_inv" in text
     assert "Particular narrators (3 valid of 3)" in text
