@@ -16,7 +16,10 @@ Each stage that reads ``--corpus`` attaches the axioms an earlier
 ``import-external`` left in the outdir, except ``mine-roots`` and
 ``import-external``, which start from the bare corpus.  ``import-external``
 mines its roots itself with its own config, so ``roots/`` is output only.
-``fti --auc-csv`` and ``selftest`` read no corpus.
+``fti --auc-csv`` and ``selftest`` read no corpus.  ``mine-roots`` and
+``import-external`` skip, with the warning ``fti`` logs, a domain whose
+LSOs :meth:`.LearningDomain.consistent_closures` refuses, and write nothing
+for it.
 
 Exit codes: 0 success, 1 usage errors, 2 data errors; an input file that is
 missing, not UTF-8 or malformed is a data error naming it.  Tuning values come
@@ -115,6 +118,20 @@ def _load_corpus(args, outdir: Path | None) -> Corpus:
     return corpus
 
 
+def _consistent_domains(domains):
+    """The domains whose ``consistent_closures()`` holds, in order; each
+    other one is skipped with the warning that ``fti`` logs for it."""
+    for d in domains:
+        try:
+            d.consistent_closures()
+        except DataError as exc:
+            import logging
+
+            logging.getLogger(__name__).warning("skipping domain %s: %s", d.id, exc)
+            continue
+        yield d
+
+
 def _load_fti(args, cfg: PipelineConfig, outdir: Path, domains) -> dict:
     from .harness import fti_from_records, records_from_csv
 
@@ -169,7 +186,7 @@ def cmd_mine_roots(args, cfg: PipelineConfig, outdir: Path) -> int:
 
     params = cfg.mining
     # the bare corpus, as in import-external, so that reruns mine the same roots
-    for d in _load_corpus(args, None).domains:
+    for d in _consistent_domains(_load_corpus(args, None).domains):
         rs = mine_roots(d, params)
         lines = [
             f"# domain {d.id} sigma={params.sigma} kappa={params.kappa} tau={params.tau}"
@@ -232,7 +249,7 @@ def cmd_import_external(args, cfg: PipelineConfig, outdir: Path) -> int:
     corpus = _load_corpus(args, None)
     adapter = _make_adapter(args, corpus)
     mapping = _make_mapping(args, corpus)
-    for d in corpus.domains:
+    for d in _consistent_domains(corpus.domains):
         # mined with this stage's config: roots/ may hold another config's roots
         roots = list(mine_roots(d, cfg.mining).root_individuals)
         axioms, audit = import_external(

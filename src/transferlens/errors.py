@@ -4,8 +4,9 @@
 corpora, inconsistent LSOs where consistency is required, unusable numeric
 preconditions.  ``UsageError`` covers bad invocations.  The command-line
 layer maps them to distinct exit codes.  :func:`read_input` reads every
-input file as UTF-8 and turns a missing path, a directory or bytes that are
-not UTF-8 into a ``DataError`` naming the file (and the line of the bytes).
+input file, and every knowledge-base response, as UTF-8 and turns a missing
+path, a directory or bytes that are not UTF-8 into a ``DataError`` naming the
+file or URL (and the line of the bytes).
 """
 
 from __future__ import annotations
@@ -22,15 +23,18 @@ class UsageError(Exception):
     pass
 
 
-def read_input(path: str | Path) -> str:
-    """The text of an input file, decoded as UTF-8."""
+def read_input(path: str | Path, data: bytes | None = None) -> str:
+    """The text of an input file, or of ``data`` fetched from ``path`` (a
+    URL, say), decoded as UTF-8."""
+    if data is None:
+        try:
+            data = Path(path).read_bytes()
+        except OSError as err:
+            raise DataError(f"cannot read {path}: {err.strerror}") from None
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as err:
-        raise DataError(f"cannot read {path}: {err.strerror}") from None
-    except UnicodeDecodeError as err:  # err.object holds the whole file
-        line = err.object[: err.start].count(b"\n") + 1
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data[: err.start].count(b"\n") + 1
         raise DataError(f"{path}:{line}: not UTF-8 text ({err.reason})") from None
 
 

@@ -121,7 +121,8 @@ class HttpKbAdapter:
     is a TSV with header ``entity<TAB>label``; rows whose label matches the
     term are kept in response order.  The describe response has header
     ``field<TAB>value`` with repeatable fields ``label``, ``type`` and
-    anything else as a property name.
+    anything else as a property name.  Responses are decoded as UTF-8, and
+    bytes that are not UTF-8 are a ``DataError`` naming the URL and line.
     """
 
     def __init__(self, lookup_url: str, describe_url: str, timeout: float = 10.0):
@@ -140,7 +141,9 @@ class HttpKbAdapter:
             raise DataError(
                 f"knowledge-base request returned {resp.status_code} for {url}"
             )
-        return [line.split("\t") for line in resp.text.splitlines() if line.strip()]
+        # requests would decode text/* without a charset as ISO-8859-1
+        text = read_input(url, resp.content)
+        return [line.split("\t") for line in text.splitlines() if line.strip()]
 
     def lookup(self, term: str) -> list[str]:
         from urllib.parse import quote
@@ -191,7 +194,7 @@ class VocabularyMapping:
     def parse(text: str, origin: str = "<mapping>") -> "VocabularyMapping":
         types: dict[str, str] = {}
         props: dict[str, str] = {}
-        drop = True
+        drop: bool | None = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -202,6 +205,8 @@ class VocabularyMapping:
                     raise DataError(
                         f"{origin}:{lineno}: drop-unmapped must be true or false"
                     )
+                if drop is not None:
+                    raise DataError(f"{origin}:{lineno}: duplicate drop-unmapped line")
                 drop = value == "true"
                 continue
             m = re.match(r"\A(type|prop)\s+(\S+)\s*->\s*(\S+)\Z", line)
@@ -217,7 +222,7 @@ class VocabularyMapping:
             if src in table:
                 raise DataError(f"{origin}:{lineno}: duplicate mapping for {src!r}")
             table[src] = dst
-        return VocabularyMapping(types=types, props=props, drop_unmapped=drop)
+        return VocabularyMapping(types=types, props=props, drop_unmapped=drop is not False)
 
     @staticmethod
     def load(path: str | Path) -> "VocabularyMapping":

@@ -6,7 +6,10 @@ semi-naive: a worklist carries only newly derived atoms and each atom fires
 just the joins it can participate in.  Equalities (asserted or derived
 through nominals) merge individuals with a union-find whose canonical
 representative is the lexicographically least member; atoms are eagerly
-rewritten onto canonical names at every merge.
+rewritten onto canonical names at every merge.  Each fact is stored once: a
+class atom in its individual's set of concept keys, a role atom in the set
+of objects of its (role, subject) pair, with one index by object for the
+joins that meet a role atom at its object.
 
 Class consequences that factor through unnamed role successors are folded in
 beforehand at the TBox level: the rule set is classified (subclass,
@@ -146,8 +149,6 @@ class _Compiled:
     chain_by_first: dict[str, tuple[tuple[str, str], ...]]
     chain_by_second: dict[str, tuple[tuple[str, str], ...]]
     nominal_inds: frozenset[str]
-    concept_keys: frozenset[str]
-    roles: frozenset[str]
 
 
 def _classify(
@@ -260,10 +261,8 @@ def _compile(ntbox: NormalizedTBox) -> _Compiled:
         elif isinstance(r, RExistRhs):
             exrs.append((_basic_key(r.lhs), r.role, _basic_key(r.filler)))
     role_sups: dict[str, set[str]] = {}
-    roles: set[str] = set()
     for rs in ntbox.role_subs:
         role_sups.setdefault(rs.sub, set()).add(rs.sup)
-        roles.update((rs.sub, rs.sup))
     sup = _classify(subs, conjs, exls, exrs, role_sups, ntbox.role_chains)
 
     sub_by_lhs: dict[str, set[str]] = {}
@@ -279,20 +278,17 @@ def _compile(ntbox: NormalizedTBox) -> _Compiled:
     # atom through sub_by_lhs, and that atom fires its own ground rule
     exr_ground: dict[str, set[tuple[str, str]]] = {}
     nominal_inds = {key[1:] for key in sup if key.startswith("{")}
-    concept_keys = set(sup) | {_atom_key(k) for k in sup}
 
     for a1, a2, b in conjs:
         a1, a2 = _atom_key(a1), _atom_key(a2)
         conj_by_part.setdefault(a1, set()).add((a2, b))
         conj_by_part.setdefault(a2, set()).add((a1, b))
     for role, f, b in exls:
-        roles.add(role)
         f = _atom_key(f)
         exl_by_role.setdefault(role, set()).add((f, b))
         if f != _TOP:
             exl_by_filler.setdefault(f, set()).add((role, b))
     for a, role, f in exrs:
-        roles.add(role)
         if f.startswith("{"):
             # the only existential right side with a named witness
             exr_ground.setdefault(_atom_key(a), set()).add((role, f[1:]))
@@ -302,7 +298,6 @@ def _compile(ntbox: NormalizedTBox) -> _Compiled:
     for ch in ntbox.role_chains:
         chain_by_first.setdefault(ch.first, set()).add((ch.second, ch.sup))
         chain_by_second.setdefault(ch.second, set()).add((ch.first, ch.sup))
-        roles.update((ch.first, ch.second, ch.sup))
 
     return _Compiled(
         sub_by_lhs={k: tuple(sorted(v)) for k, v in sub_by_lhs.items()},
@@ -314,8 +309,6 @@ def _compile(ntbox: NormalizedTBox) -> _Compiled:
         chain_by_first={k: tuple(sorted(v)) for k, v in chain_by_first.items()},
         chain_by_second={k: tuple(sorted(v)) for k, v in chain_by_second.items()},
         nominal_inds=frozenset(nominal_inds),
-        concept_keys=frozenset(concept_keys),
-        roles=frozenset(roles),
     )
 
 
@@ -421,8 +414,8 @@ def materialize(tbox, abox) -> EntailmentClosure:
     rules = _compiled(ntbox)
 
     uf = UnionFind()
-    class_atoms: set[tuple[str, str]] = set()
-    role_atoms: set[tuple[str, str, str]] = set()
+    # one store per kind of fact: C(x) is C in by_ind[x] and r(a,b) is b in
+    # role_out[(r, a)]; role_in indexes role atoms by object for the joins
     by_ind: dict[str, set[str]] = {}
     role_out: dict[tuple[str, str], set[str]] = {}
     role_in: dict[tuple[str, str], set[str]] = {}
@@ -434,15 +427,9 @@ def materialize(tbox, abox) -> EntailmentClosure:
             return
         uf.add(x)
         for b in rules.sub_by_lhs.get(_TOP, ()):
-            push_class(b, x)
+            work.append(("c", b, x))
         for role, ind in rules.exr_ground.get(_TOP, ()):
-            push_role(role, x, ind)
-
-    def push_class(key: str, x: str) -> None:
-        work.append(("c", key, x))
-
-    def push_role(role: str, a: str, b: str) -> None:
-        work.append(("r", role, a, b))
+            work.append(("r", role, x, ind))
 
     def merge(a: str, b: str) -> None:
         res = uf.union(a, b)
@@ -450,14 +437,13 @@ def materialize(tbox, abox) -> EntailmentClosure:
             return
         kept, absorbed = res
         for k in sorted(by_ind.pop(absorbed, ())):
-            class_atoms.discard((k, absorbed))
-            push_class(k, kept)
-        moved_r = sorted(t for t in role_atoms if t[1] == absorbed or t[2] == absorbed)
-        for role, s, o in moved_r:
-            role_atoms.discard((role, s, o))
-            role_out.get((role, s), set()).discard(o)
-            role_in.get((role, o), set()).discard(s)
-            push_role(role, s, o)
+            work.append(("c", k, kept))
+        moved = {(r, s, o) for (r, s), objs in role_out.items() if s == absorbed for o in objs}
+        moved |= {(r, s, o) for (r, o), subs in role_in.items() if o == absorbed for s in subs}
+        for role, s, o in sorted(moved):
+            role_out[(role, s)].discard(o)
+            role_in[(role, o)].discard(s)
+            work.append(("r", role, s, o))
 
     def add_class(key: str, x: str) -> None:
         nonlocal insertions
@@ -466,58 +452,55 @@ def materialize(tbox, abox) -> EntailmentClosure:
         if key.startswith("{"):
             merge(x, key[1:])
             return
-        atom = (key, x)
-        if atom in class_atoms:
+        has = by_ind.setdefault(x, set())
+        if key in has:
             return
-        class_atoms.add(atom)
+        has.add(key)
         insertions += 1
-        by_ind.setdefault(x, set()).add(key)
         for b in rules.sub_by_lhs.get(key, ()):
-            push_class(b, x)
-        has = by_ind[x]
+            work.append(("c", b, x))
         for other, b in rules.conj_by_part.get(key, ()):
             if other == key or other in has:
-                push_class(b, x)
+                work.append(("c", b, x))
         for role, ind in rules.exr_ground.get(key, ()):
-            push_role(role, x, ind)
+            work.append(("r", role, x, ind))
         for role, b in rules.exl_by_filler.get(key, ()):
             for a in sorted(role_in.get((role, x), ())):
-                push_class(b, a)
+                work.append(("c", b, a))
 
     def add_role(role: str, a: str, b: str) -> None:
         nonlocal insertions
-        atom = (role, a, b)
-        if atom in role_atoms:
+        objs = role_out.setdefault((role, a), set())
+        if b in objs:
             return
-        role_atoms.add(atom)
+        objs.add(b)
         insertions += 1
-        role_out.setdefault((role, a), set()).add(b)
         role_in.setdefault((role, b), set()).add(a)
         for s in rules.role_sups.get(role, ()):
-            push_role(s, a, b)
+            work.append(("r", s, a, b))
         fillers = by_ind.get(b, set())
         for f, rhs in rules.exl_by_role.get(role, ()):
             if f == _TOP or f in fillers:
-                push_class(rhs, a)
+                work.append(("c", rhs, a))
         for second, sup_role in rules.chain_by_first.get(role, ()):
             for z in sorted(role_out.get((second, b), ())):
-                push_role(sup_role, a, z)
+                work.append(("r", sup_role, a, z))
         for first, sup_role in rules.chain_by_second.get(role, ()):
             for w in sorted(role_in.get((first, a), ())):
-                push_role(sup_role, w, b)
+                work.append(("r", sup_role, w, b))
 
     for ind in sorted(rules.nominal_inds):
         mention(ind)
-        push_class("}" + ind, ind)
+        work.append(("c", "}" + ind, ind))
 
     for ax in sorted(axioms, key=str):
         if isinstance(ax, ClassAssertion):
             mention(ax.individual)
-            push_class(ax.concept.name, ax.individual)
+            work.append(("c", ax.concept.name, ax.individual))
         elif isinstance(ax, RoleAssertion):
             mention(ax.subject)
             mention(ax.object)
-            push_role(ax.role, ax.subject, ax.object)
+            work.append(("r", ax.role, ax.subject, ax.object))
         elif isinstance(ax, Equality):
             mention(ax.a)
             mention(ax.b)
@@ -537,17 +520,13 @@ def materialize(tbox, abox) -> EntailmentClosure:
             _, role, a, b = item
             add_role(role, uf.find(a), uf.find(b))
 
-    individuals = frozenset(uf.find(x) for x in uf.parent)
-    n_names = max(len(uf.parent), 1)
-    bound = len(rules.concept_keys | {k for k, _ in class_atoms}) * n_names
-    bound += max(len(rules.roles | {r for r, _, _ in role_atoms}), 1) * n_names * n_names
-    assert insertions <= max(bound, 1), "closure exceeded its atom universe"
-
-    # the one contradiction check: at the fixpoint atoms sit on canonical
-    # names, and the least name makes the witness order-independent
-    bottoms = [x for key, x in class_atoms if key == _BOT]
+    # at the fixpoint every stored atom sits on canonical names
+    root = {x: uf.find(x) for x in uf.parent}
+    # the one contradiction check; the least name makes the witness
+    # order-independent
+    bottoms = [x for x, keys in by_ind.items() if _BOT in keys]
     clashes = [(ax.a, ax.b) for ax in axioms if isinstance(ax, Inequality)]
-    clashes = [(p, q) for p, q in clashes if uf.find(p) == uf.find(q)]
+    clashes = [(p, q) for p, q in clashes if root[p] == root[q]]
     witness = None
     if bottoms:
         witness = f"Bottom derived for {min(bottoms)}"
@@ -555,15 +534,14 @@ def materialize(tbox, abox) -> EntailmentClosure:
         p, q = min(clashes)
         witness = f"{p} and {q} asserted distinct but derived equal"
 
-    canon = {x: uf.find(x) for x in uf.parent if uf.find(x) != x}
     return EntailmentClosure(
         inconsistent=witness is not None,
-        class_atoms=frozenset(class_atoms),
-        role_atoms=frozenset(role_atoms),
-        individuals=individuals,
+        class_atoms=frozenset((k, x) for x, keys in by_ind.items() for k in keys),
+        role_atoms=frozenset((r, a, b) for (r, a), objs in role_out.items() for b in objs),
+        individuals=frozenset(root.values()),
         insertions=insertions,
         inconsistency_witness=witness,
-        _canon=canon,
+        _canon={x: r for x, r in root.items() if r != x},
     )
 
 

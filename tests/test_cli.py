@@ -571,6 +571,44 @@ def test_a_domain_without_transfer_results_leaves_the_report_unchanged(tmp_path,
     assert explain(corpus, got / "out") == explain(MINI_FLIGHTS, want / "out")
 
 
+def test_every_stage_skips_a_domain_with_an_inconsistent_lso(tmp_path, capsys, caplog):
+    # one contradictory LSO in A1: the knowledge stages skip the domain as
+    # fti does, and every other domain's closures, roots and import are
+    # the golden ones
+    from test_golden import GOLDEN as golden
+
+    corpus = tmp_path / "corpus"
+    shutil.copytree(MINI_FLIGHTS, corpus)
+    lso = corpus / "domains" / "A1" / "lsos" / "lso-000.ont"
+    lso.write_text(lso.read_text() + "SameInd(p q)\nDiffInd(p q)\n")
+    skip = (
+        "skipping domain A1: LSO 'lso-000' of domain A1 is inconsistent (p and q "
+        "asserted distinct but derived equal); roots and features need consistent LSOs"
+    )
+    out = tmp_path / "out"
+    fast = ["--epochs", "2", "--ensemble", "1"]
+    for stage in ("materialize", "mine-roots", "import-external", "fti", "report"):
+        caplog.clear()
+        capsys.readouterr()
+        argv = [stage, "--corpus", str(corpus), "--outdir", str(out)]
+        assert main(argv + (fast if stage == "fti" else [])) == 0, stage
+        skipped = [r.getMessage() for r in caplog.records]
+        assert skipped == ([] if stage in ("materialize", "report") else [skip]), stage
+        if stage in ("mine-roots", "import-external"):
+            want = (golden / "stdout" / f"{stage}.stdout").read_text().splitlines()
+            assert capsys.readouterr().out.splitlines() == [
+                line for line in want if not line.startswith("A1:")
+            ]
+    for sub in ("closures", "roots", "external"):
+        names = sorted(p.name for p in (golden / "out" / sub).iterdir())
+        got = sorted(p.name for p in (out / sub).iterdir())
+        assert got == [n for n in names if sub == "closures" or not n.startswith("A1.")]
+        for name in got:
+            if name != "A1.atoms":
+                assert (out / sub / name).read_bytes() == (golden / "out" / sub / name).read_bytes()
+    assert "A1" not in (out / "fti" / "auc.csv").read_text()
+
+
 def test_explain_validates_thresholds_as_report_does(corpus_dir, tmp_path, capsys):
     csv = tmp_path / "measured.csv"
     csv.write_text(

@@ -241,3 +241,28 @@ def test_split_rejects_degenerate_fraction():
 def test_empty_domain_rejected():
     with pytest.raises(DataError, match="no LSOs"):
         make_domain("empty", "A(d)", [])
+
+
+def test_a_merge_that_renames_the_target_is_refused():
+    # SameInd(c d) moves the LSO's atoms onto c: the label reads Delayed(d)
+    # through the merge, while the vocabulary would hold Delayed(c)
+    docs = LSOS + ["ClassAssert(Dep d)\nRoleAssert(hasWea d w)\nClassAssert(Rainy w)\nSameInd(c d)"]
+    d = make_domain("renamed", "Delayed(d)", docs, tbox=TBOX)
+    assert d.labels().tolist() == [1, 0, 1, 1]
+    assert Entailment.parse("Delayed(c)") in d.entailment_closure()
+    message = (
+        "^LSO 'lso-003' of domain renamed merges d into c, so it holds the target "
+        r"Delayed\(d\) as Delayed\(c\), which features would read as the label$"
+    )
+    for refuse in (
+        d.consistent_closures,
+        lambda: mine_roots(d, MiningParams(sigma=0.5, kappa=1, tau=0.5)),
+        lambda: encode_dataset(d, ()),
+    ):
+        with pytest.raises(DataError, match=message):
+            refuse()
+    # a merge that keeps the target's name, or one in an LSO without the
+    # target, changes no feature into the label
+    docs = LSOS + ["ClassAssert(Dep d)\nRoleAssert(hasWea d w)\nClassAssert(Rainy w)\nSameInd(d e)",
+                   "ClassAssert(Dep d)\nSameInd(c d)"]
+    make_domain("kept", "Delayed(d)", docs, tbox=TBOX).consistent_closures()

@@ -110,6 +110,11 @@ def test_mapping_parse_errors():
         VocabularyMapping.parse("type X -> A\ntype X -> B")
     with pytest.raises(DataError, match="true or false"):
         VocabularyMapping.parse("drop-unmapped = maybe")
+    # a second switch is refused like a second mapping, even when it agrees
+    for second in ("false", "true"):
+        text = f"drop-unmapped = true\ntype X -> A\ndrop-unmapped = {second}\n"
+        with pytest.raises(DataError, match=r"^kb_map.txt:3: duplicate drop-unmapped line$"):
+            VocabularyMapping.parse(text, origin="kb_map.txt")
 
 
 def test_extract_axioms_mapped_and_dropped():
@@ -270,10 +275,16 @@ class _Handler(BaseHTTPRequestHandler):
             body = "entity\tlabel\nAPT1\tLAX\nSONG1\tLAX\textra\n"
         elif self.path.startswith("/baddescribe/"):
             body = "field\tvalue\nlabel\tLAX\ntype\n"
+        elif self.path.startswith("/utf8-lookup/"):
+            body = "entity\tlabel\nZRH\tZürich\n"
+        elif self.path.startswith("/utf8-describe/"):
+            body = "field\tvalue\nlabel\tZürich\ntype\tCivilAirport\n"
+        elif self.path.startswith("/latin1/"):
+            body = b"field\tvalue\nlabel\tZ\xfcrich\n"
         else:
             self.send_error(404)
             return
-        payload = body.encode()
+        payload = body if isinstance(body, bytes) else body.encode()
         self.send_response(200)
         self.send_header("Content-Type", "text/tab-separated-values")
         self.send_header("Content-Length", str(len(payload)))
@@ -340,6 +351,20 @@ def test_http_adapter_refuses_malformed_rows(kb_server):
     bad = HttpKbAdapter(kb_server + "/lookup/{term}", kb_server + "/badheader/{entity}")
     with pytest.raises(DataError, match=r"^describe response must start with header field<TAB>value$"):
         bad.describe("APT1")
+
+
+def test_http_adapter_reads_responses_as_utf8(kb_server):
+    # the server sends text/tab-separated-values without a charset
+    adapter = HttpKbAdapter(
+        kb_server + "/utf8-lookup/{term}", kb_server + "/utf8-describe/{entity}"
+    )
+    assert adapter.lookup("Zürich") == ["ZRH"]
+    assert adapter.describe("ZRH").labels == ("Zürich",)
+    bad = HttpKbAdapter(kb_server + "/lookup/{term}", kb_server + "/latin1/{entity}")
+    url = kb_server + "/latin1/ZRH"
+    with pytest.raises(DataError) as err:
+        bad.describe("ZRH")
+    assert str(err.value) == f"{url}:2: not UTF-8 text (invalid start byte)"
 
 
 def test_http_adapter_wraps_connection_failures():

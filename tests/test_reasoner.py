@@ -507,7 +507,18 @@ def test_entails_free_function():
 
 
 def test_insertion_bound_holds():
-    for seed in range(40):
-        tbox, abox = random_instance(seed)
-        clo = materialize(normalize_tbox(tbox), abox)
-        assert clo.insertions >= 0  # the bound assert lives inside materialize
+    """Every atom at the fixpoint was inserted, and no (key, name) or
+    (role, a, b) is inserted twice.  A key or role once inserted survives
+    under canonical names, so the closure's own keys and roles over the n
+    names of the ABox and the TBox's nominals bound the insertions."""
+    for named_rhs in (False, True):
+        for seed in range(200):
+            tbox, abox = random_instance(seed, named_rhs=named_rhs)
+            clo = materialize(normalize_tbox(tbox), abox)
+            text = "\n".join(sorted(map(str, tbox | abox)))
+            n = len(parse_ontology(text).signature.individuals)
+            keys = {k for k, _ in clo.class_atoms}
+            roles = {r for r, _, _ in clo.role_atoms}
+            case = f"seed {seed}, named_rhs {named_rhs}"
+            assert len(clo.class_atoms) + len(clo.role_atoms) <= clo.insertions, case
+            assert clo.insertions <= len(keys) * n + len(roles) * n * n, case
