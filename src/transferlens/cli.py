@@ -19,7 +19,7 @@ mines its roots itself with its own config, so ``roots/`` is output only.
 ``fti --auc-csv`` and ``selftest`` read no corpus.  ``mine-roots`` and
 ``import-external`` skip, with the warning ``fti`` logs, a domain whose
 LSOs :meth:`.LearningDomain.consistent_closures` refuses, and write nothing
-for it.
+for it; ``report`` and ``explain`` refuse a measured pair that joins one.
 
 Exit codes: 0 success, 1 usage errors, 2 data errors; an input file that is
 missing, not UTF-8 or malformed is a data error naming it.  Tuning values come

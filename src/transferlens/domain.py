@@ -88,31 +88,26 @@ class LearningDomain:
 
     def consistent_closures(self) -> tuple[EntailmentClosure, ...]:
         """``lso_closures()``, refusing an LSO that is inconsistent or that
-        holds the target only under a merged name.
+        merges a target individual into a lesser name.
 
         A contradictory observation entails everything and would poison
-        roots and features silently.  After a merge of a target individual
-        into a lesser name, the label (``entails``) still finds the target,
-        but features and mining read ``atoms()``, under least names, so the
-        renamed target would be a feature equal to the label."""
+        roots and features silently.  Features and mining read ``atoms()``,
+        under least names, so after such a merge the LSO's facts about that
+        individual, the target among them, would sit in columns of the
+        other name, whether or not the LSO entails the target."""
         closures = self.lso_closures()
-        target = self.target
         for lso, c in zip(self.lsos, closures):
             if c.inconsistent:
                 raise DataError(
                     f"LSO {lso.name!r} of domain {self.id} is inconsistent "
                     f"({c.inconsistency_witness}); roots and features need consistent LSOs"
                 )
-            renamed = Entailment(target.pred, tuple(map(c.canonical, target.args)))
-            if renamed != target and c.entails(target):
-                merges = ", ".join(
-                    f"{x} into {c.canonical(x)}" for x in sorted(set(target.args))
-                    if c.canonical(x) != x
-                )
-                raise DataError(
-                    f"LSO {lso.name!r} of domain {self.id} merges {merges}, so it "
-                    f"holds the target {target} as {renamed}, which features would read as the label"
-                )
+            for x in sorted(set(self.target.args)):
+                if c.canonical(x) != x:
+                    raise DataError(
+                        f"LSO {lso.name!r} of domain {self.id} merges target "
+                        f"individual {x} into {c.canonical(x)}"
+                    )
         return closures
 
     def closure_atom_sets(self) -> tuple[frozenset[Entailment], ...]:

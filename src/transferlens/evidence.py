@@ -334,6 +334,9 @@ class EvidenceSpace:
             if not math.isfinite(v):
                 raise DataError(f"transfer index of {ids[i]}->{ids[j]} is not finite: {v}")
         kept = sorted({i for i, _, _ in pairs} | {j for _, j, _ in pairs})
+        for i in kept:
+            # entailment_closure would silently drop a refused LSO
+            domains[i].consistent_closures()
         renumber = {i: k for k, i in enumerate(kept)}
         return EvidenceSpace(
             ids=tuple(ids[i] for i in kept),

@@ -121,8 +121,9 @@ class HttpKbAdapter:
     is a TSV with header ``entity<TAB>label``; rows whose label matches the
     term are kept in response order.  The describe response has header
     ``field<TAB>value`` with repeatable fields ``label``, ``type`` and
-    anything else as a property name.  Responses are decoded as UTF-8, and
-    bytes that are not UTF-8 are a ``DataError`` naming the URL and line.
+    anything else as a property name.  Responses are decoded as UTF-8;
+    bytes that are not UTF-8, a wrong header or a row without exactly two
+    fields are a ``DataError`` naming the URL and line.
     """
 
     def __init__(self, lookup_url: str, describe_url: str, timeout: float = 10.0):
@@ -130,7 +131,9 @@ class HttpKbAdapter:
         self.describe_url = describe_url
         self.timeout = timeout
 
-    def _get(self, url: str) -> list[list[str]]:
+    def _table(self, url: str, header: tuple[str, str]) -> list[tuple[str, str]]:
+        """The rows after the two-column ``header`` of the TSV at ``url``;
+        a bad header or row is a ``DataError`` naming the URL and line."""
         import requests
 
         try:
@@ -143,20 +146,26 @@ class HttpKbAdapter:
             )
         # requests would decode text/* without a charset as ISO-8859-1
         text = read_input(url, resp.content)
-        return [line.split("\t") for line in text.splitlines() if line.strip()]
+        rows = [
+            (lineno, line.split("\t"))
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            if line.strip()
+        ]
+        if not rows or [c.strip() for c in rows[0][1]] != list(header):
+            lineno = rows[0][0] if rows else 1
+            raise DataError(f"{url}:{lineno}: expected the header {header[0]}<TAB>{header[1]}")
+        for lineno, row in rows[1:]:
+            if len(row) != 2:
+                raise DataError(f"{url}:{lineno}: expected 2 tab-separated fields, got {len(row)}")
+        return [(row[0].strip(), row[1].strip()) for _, row in rows[1:]]
 
     def lookup(self, term: str) -> list[str]:
         from urllib.parse import quote
 
-        rows = self._get(self.lookup_url.format(term=quote(term, safe="")))
-        if not rows or [c.strip() for c in rows[0]] != ["entity", "label"]:
-            raise DataError("lookup response must start with header entity<TAB>label")
+        url = self.lookup_url.format(term=quote(term, safe=""))
         wanted = normalize_label(term)
         out, seen = [], set()
-        for row in rows[1:]:
-            if len(row) != 2:
-                raise DataError(f"malformed lookup row: {row!r}")
-            eid, label = row[0].strip(), row[1]
+        for eid, label in self._table(url, ("entity", "label")):
             if normalize_label(label) == wanted and eid not in seen:
                 seen.add(eid)
                 out.append(eid)
@@ -165,14 +174,9 @@ class HttpKbAdapter:
     def describe(self, entity_id: str) -> KbEntity:
         from urllib.parse import quote
 
-        rows = self._get(self.describe_url.format(entity=quote(entity_id, safe="")))
-        if not rows or [c.strip() for c in rows[0]] != ["field", "value"]:
-            raise DataError("describe response must start with header field<TAB>value")
+        url = self.describe_url.format(entity=quote(entity_id, safe=""))
         labels, types, props = [], [], []
-        for row in rows[1:]:
-            if len(row) != 2:
-                raise DataError(f"malformed describe row: {row!r}")
-            fld, val = row[0].strip(), row[1].strip()
+        for fld, val in self._table(url, ("field", "value")):
             if fld == "label":
                 labels.append(val)
             elif fld == "type":
@@ -238,28 +242,21 @@ def extract_axioms(
     per the mapping's drop-unmapped switch.  Property values that cannot be
     coerced to a legal name are skipped.
     """
+
+    def name(table: dict[str, str], text: str) -> str | None:
+        if text in table:
+            return table[text]
+        return None if mapping.drop_unmapped else sanitize_name(text)
+
     out: set[ABoxAxiom] = set()
     for t in entity.types:
-        name = mapping.types.get(t)
-        if name is None:
-            if mapping.drop_unmapped:
-                continue
-            name = sanitize_name(t)
-            if name is None:
-                continue
-        out.add(ClassAssertion(Atomic(name), individual))
+        cls = name(mapping.types, t)
+        if cls is not None:
+            out.add(ClassAssertion(Atomic(cls), individual))
     for key, value in entity.props:
-        role = mapping.props.get(key)
-        if role is None:
-            if mapping.drop_unmapped:
-                continue
-            role = sanitize_name(key)
-            if role is None:
-                continue
-        obj = sanitize_name(value)
-        if obj is None:
-            continue
-        out.add(RoleAssertion(role, individual, obj))
+        role, obj = name(mapping.props, key), sanitize_name(value)
+        if role is not None and obj is not None:
+            out.add(RoleAssertion(role, individual, obj))
     return frozenset(out)
 
 

@@ -11,6 +11,10 @@ class atom in its individual's set of concept keys, a role atom in the set
 of objects of its (role, subject) pair, with one index by object for the
 joins that meet a role atom at its object.
 
+A nominal {b} is a concept key like any other, spelled ``{b``: each nominal
+individual b starts out holding it, and deriving ``{b}(x)`` merges x with b,
+then stores ``{b`` on the merged name, where the joins match it.
+
 Class consequences that factor through unnamed role successors are folded in
 beforehand at the TBox level: the rule set is classified (subclass,
 conjunction, existential and role-composition propagation between concept
@@ -156,7 +160,7 @@ def _classify(
     conjs: list[tuple[str, str, str]],
     exls: list[tuple[str, str, str]],
     exrs: list[tuple[str, str, str]],
-    role_sups: dict[str, set[str]],
+    role_sups: dict[str, tuple[str, ...]],
     role_chains,
 ) -> dict[str, set[str]]:
     """Superclass sets over basic concept keys, saturated until fixpoint.
@@ -235,15 +239,12 @@ def _classify(
     return sup
 
 
-def _atom_key(key: str) -> str:
-    """Storage key for a membership test position.
-
-    Nominal membership is kept as an ordinary stored atom (marker ``}``) so
-    that conjunction and filler joins treat it like any other class atom;
-    the ``{`` form is reserved for right-hand sides, where deriving it means
-    merging the individual with the nominal.
-    """
-    return "}" + key[1:] if key.startswith("{") else key
+def _group(pairs) -> dict:
+    """``key -> tuple(sorted(values))`` over ``(key, value)`` pairs."""
+    groups: dict = {}
+    for k, v in pairs:
+        groups.setdefault(k, set()).add(v)
+    return {k: tuple(sorted(vs)) for k, vs in groups.items()}
 
 
 def _compile(ntbox: NormalizedTBox) -> _Compiled:
@@ -260,55 +261,23 @@ def _compile(ntbox: NormalizedTBox) -> _Compiled:
             exls.append((r.role, _basic_key(r.filler), _basic_key(r.rhs)))
         elif isinstance(r, RExistRhs):
             exrs.append((_basic_key(r.lhs), r.role, _basic_key(r.filler)))
-    role_sups: dict[str, set[str]] = {}
-    for rs in ntbox.role_subs:
-        role_sups.setdefault(rs.sub, set()).add(rs.sup)
+    role_sups = _group((rs.sub, rs.sup) for rs in ntbox.role_subs)
     sup = _classify(subs, conjs, exls, exrs, role_sups, ntbox.role_chains)
-
-    sub_by_lhs: dict[str, set[str]] = {}
-    for x, sx in sup.items():
-        for b in sx:
-            if b != x and b != _TOP:
-                sub_by_lhs.setdefault(_atom_key(x), set()).add(b)
-
-    conj_by_part: dict[str, set[tuple[str, str]]] = {}
-    exl_by_role: dict[str, set[tuple[str, str]]] = {}
-    exl_by_filler: dict[str, set[tuple[str, str]]] = {}
-    # A ⊑ ∃r.{b} fires on A itself only: every subsumer of A is derived as an
-    # atom through sub_by_lhs, and that atom fires its own ground rule
-    exr_ground: dict[str, set[tuple[str, str]]] = {}
-    nominal_inds = {key[1:] for key in sup if key.startswith("{")}
-
-    for a1, a2, b in conjs:
-        a1, a2 = _atom_key(a1), _atom_key(a2)
-        conj_by_part.setdefault(a1, set()).add((a2, b))
-        conj_by_part.setdefault(a2, set()).add((a1, b))
-    for role, f, b in exls:
-        f = _atom_key(f)
-        exl_by_role.setdefault(role, set()).add((f, b))
-        if f != _TOP:
-            exl_by_filler.setdefault(f, set()).add((role, b))
-    for a, role, f in exrs:
-        if f.startswith("{"):
-            # the only existential right side with a named witness
-            exr_ground.setdefault(_atom_key(a), set()).add((role, f[1:]))
-
-    chain_by_first: dict[str, set[tuple[str, str]]] = {}
-    chain_by_second: dict[str, set[tuple[str, str]]] = {}
-    for ch in ntbox.role_chains:
-        chain_by_first.setdefault(ch.first, set()).add((ch.second, ch.sup))
-        chain_by_second.setdefault(ch.second, set()).add((ch.first, ch.sup))
-
     return _Compiled(
-        sub_by_lhs={k: tuple(sorted(v)) for k, v in sub_by_lhs.items()},
-        conj_by_part={k: tuple(sorted(v)) for k, v in conj_by_part.items()},
-        exl_by_role={k: tuple(sorted(v)) for k, v in exl_by_role.items()},
-        exl_by_filler={k: tuple(sorted(v)) for k, v in exl_by_filler.items()},
-        exr_ground={k: tuple(sorted(v)) for k, v in exr_ground.items()},
-        role_sups={k: tuple(sorted(v)) for k, v in role_sups.items()},
-        chain_by_first={k: tuple(sorted(v)) for k, v in chain_by_first.items()},
-        chain_by_second={k: tuple(sorted(v)) for k, v in chain_by_second.items()},
-        nominal_inds=frozenset(nominal_inds),
+        sub_by_lhs=_group((x, b) for x, sx in sup.items() for b in sx if b not in (x, _TOP)),
+        conj_by_part=_group(
+            pair for a1, a2, b in conjs for pair in ((a1, (a2, b)), (a2, (a1, b)))
+        ),
+        exl_by_role=_group((role, (f, b)) for role, f, b in exls),
+        exl_by_filler=_group((f, (role, b)) for role, f, b in exls if f != _TOP),
+        # A ⊑ ∃r.{b}, the only existential right side with a named witness,
+        # fires on A itself only: every subsumer of A is derived as an atom
+        # through sub_by_lhs, and that atom fires its own ground rule
+        exr_ground=_group((a, (role, f[1:])) for a, role, f in exrs if f.startswith("{")),
+        role_sups=role_sups,
+        chain_by_first=_group((ch.first, (ch.second, ch.sup)) for ch in ntbox.role_chains),
+        chain_by_second=_group((ch.second, (ch.first, ch.sup)) for ch in ntbox.role_chains),
+        nominal_inds=frozenset(key[1:] for key in sup if key.startswith("{")),
     )
 
 
@@ -347,15 +316,16 @@ class EntailmentClosure:
         return tuple(frozenset(groups[root]) for root in sorted(groups))
 
     def atoms(self) -> frozenset[Entailment]:
-        """Public atoms: no nominal markers and no internal keys.
+        """Public atoms: no internal keys.
 
-        Internal keys start with ``(``: the ``(top)`` and ``(bot)`` markers
-        and every generated concept name.
+        Internal keys are the ``{b`` nominal keys and those that start with
+        ``(``: the ``(top)`` and ``(bot)`` markers and every generated
+        concept name.
         """
         if self._public is None:
             out: set[Entailment] = set()
             for key, ind in self.class_atoms:
-                if key.startswith(("{", "}", "(")):
+                if key.startswith(("{", "(")):
                     continue
                 out.add(Entailment(key, (ind,)))
             for role, a, b in self.role_atoms:
@@ -451,7 +421,7 @@ def materialize(tbox, abox) -> EntailmentClosure:
             return
         if key.startswith("{"):
             merge(x, key[1:])
-            return
+            x = uf.find(x)
         has = by_ind.setdefault(x, set())
         if key in has:
             return
@@ -491,7 +461,7 @@ def materialize(tbox, abox) -> EntailmentClosure:
 
     for ind in sorted(rules.nominal_inds):
         mention(ind)
-        work.append(("c", "}" + ind, ind))
+        work.append(("c", "{" + ind, ind))
 
     for ax in sorted(axioms, key=str):
         if isinstance(ax, ClassAssertion):

@@ -609,6 +609,27 @@ def test_every_stage_skips_a_domain_with_an_inconsistent_lso(tmp_path, capsys, c
     assert "A1" not in (out / "fti" / "auc.csv").read_text()
 
 
+def test_report_and_explain_refuse_aucs_measured_on_a_refused_domain(tmp_path, capsys):
+    # the golden AUCs measure A1, whose closure would silently drop its
+    # contradictory LSO
+    from test_golden import GOLDEN as golden
+
+    corpus = tmp_path / "corpus"
+    shutil.copytree(MINI_FLIGHTS, corpus)
+    lso = corpus / "domains" / "A1" / "lsos" / "lso-000.ont"
+    lso.write_text(lso.read_text() + "SameInd(p q)\nDiffInd(p q)\n")
+    base = ["--corpus", str(corpus), "--outdir", str(tmp_path / "out"),
+            "--auc-csv", str(golden / "auc.csv")]
+    capsys.readouterr()
+    for argv in (["report"], ["explain", "--evidence", "d_obs"]):
+        assert main(argv + base) == 2, argv
+        assert capsys.readouterr().err == (
+            "data error: LSO 'lso-000' of domain A1 is inconsistent (p and q asserted "
+            "distinct but derived equal); roots and features need consistent LSOs\n"
+        )
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_explain_validates_thresholds_as_report_does(corpus_dir, tmp_path, capsys):
     csv = tmp_path / "measured.csv"
     csv.write_text(

@@ -250,10 +250,7 @@ def test_a_merge_that_renames_the_target_is_refused():
     d = make_domain("renamed", "Delayed(d)", docs, tbox=TBOX)
     assert d.labels().tolist() == [1, 0, 1, 1]
     assert Entailment.parse("Delayed(c)") in d.entailment_closure()
-    message = (
-        "^LSO 'lso-003' of domain renamed merges d into c, so it holds the target "
-        r"Delayed\(d\) as Delayed\(c\), which features would read as the label$"
-    )
+    message = "^LSO 'lso-003' of domain renamed merges target individual d into c$"
     for refuse in (
         d.consistent_closures,
         lambda: mine_roots(d, MiningParams(sigma=0.5, kappa=1, tau=0.5)),
@@ -261,8 +258,15 @@ def test_a_merge_that_renames_the_target_is_refused():
     ):
         with pytest.raises(DataError, match=message):
             refuse()
-    # a merge that keeps the target's name, or one in an LSO without the
-    # target, changes no feature into the label
-    docs = LSOS + ["ClassAssert(Dep d)\nRoleAssert(hasWea d w)\nClassAssert(Rainy w)\nSameInd(d e)",
-                   "ClassAssert(Dep d)\nSameInd(c d)"]
+    # without the target the merge still splits a fact over two columns:
+    # the vocabulary would hold Dep(c) for this LSO and Dep(d) for the rest
+    docs = ["ClassAssert(Dep d)\nClassAssert(Tgt d)", "ClassAssert(Dep d)",
+            "ClassAssert(Dep d)\nSameInd(c d)"]
+    d = make_domain("split", "Tgt(d)", docs)
+    assert feature_space([d])[0] == tuple(map(Entailment.parse, ("Dep(c)", "Dep(d)")))
+    message = "^LSO 'lso-002' of domain split merges target individual d into c$"
+    with pytest.raises(DataError, match=message):
+        d.consistent_closures()
+    # a merge that keeps the target's name changes no feature
+    docs = LSOS + ["ClassAssert(Dep d)\nRoleAssert(hasWea d w)\nClassAssert(Rainy w)\nSameInd(d e)"]
     make_domain("kept", "Delayed(d)", docs, tbox=TBOX).consistent_closures()

@@ -342,15 +342,19 @@ def test_http_adapter_validates_headers_and_status(kb_server):
 
 
 def test_http_adapter_refuses_malformed_rows(kb_server):
-    # the response has no file or line; the refusal quotes the row at fault
+    # the refusal names the response's URL and the line at fault
     adapter = HttpKbAdapter(kb_server + "/badrow/{term}", kb_server + "/baddescribe/{entity}")
-    with pytest.raises(DataError, match=r"^malformed lookup row: \['SONG1', 'LAX', 'extra'\]$"):
-        adapter.lookup("LAX")
-    with pytest.raises(DataError, match=r"^malformed describe row: \['type'\]$"):
-        adapter.describe("APT1")
-    bad = HttpKbAdapter(kb_server + "/lookup/{term}", kb_server + "/badheader/{entity}")
-    with pytest.raises(DataError, match=r"^describe response must start with header field<TAB>value$"):
-        bad.describe("APT1")
+    for call, url, message in (
+        (lambda: adapter.lookup("LAX"), "/badrow/LAX", "3: expected 2 tab-separated fields, got 3"),
+        (lambda: adapter.describe("APT1"), "/baddescribe/APT1", "3: expected 2 tab-separated fields, got 1"),
+        (lambda: HttpKbAdapter(kb_server + "/badheader/{term}", "").lookup("LAX"),
+         "/badheader/LAX", "1: expected the header entity<TAB>label"),
+        (lambda: HttpKbAdapter("", kb_server + "/badheader/{entity}").describe("APT1"),
+         "/badheader/APT1", "1: expected the header field<TAB>value"),
+    ):
+        with pytest.raises(DataError) as err:
+            call()
+        assert str(err.value) == f"{kb_server}{url}:{message}"
 
 
 def test_http_adapter_reads_responses_as_utf8(kb_server):
